@@ -18,8 +18,10 @@ void Server::set_pool_size(int pool_size) {
   config_.pool_size = pool_size;
   // Transfers registered with more stripes than the new pool shrink their
   // engagement.
+  total_engaged_ = 0;
   for (auto& [id, reg] : transfers_) {
     reg.engaged_hosts = std::min(reg.engaged_hosts, pool_size);
+    total_engaged_ += reg.engaged_hosts;
   }
   notify();
 }
@@ -41,6 +43,7 @@ void Server::set_online(bool online) {
     // TransferEngine::handle_server_down), and a listener firing first
     // would query shares for ids this server no longer knows.
     transfers_.clear();
+    total_engaged_ = 0;
     return;
   }
   notify();
@@ -54,12 +57,14 @@ void Server::add_transfer(std::uint64_t transfer_id, int stripes, IoMode io) {
   reg.engaged_hosts = std::min(stripes, config_.pool_size);
   reg.io = io;
   transfers_.emplace(transfer_id, reg);
+  total_engaged_ += reg.engaged_hosts;
   notify();
 }
 
 void Server::remove_transfer(std::uint64_t transfer_id) {
   const auto it = transfers_.find(transfer_id);
   GRIDVC_REQUIRE(it != transfers_.end(), "transfer not registered");
+  total_engaged_ -= it->second.engaged_hosts;
   transfers_.erase(it);
   notify();
 }
@@ -75,8 +80,7 @@ BitsPerSecond Server::share(std::uint64_t transfer_id) const {
 
   // NIC/CPU: cluster capacity shared in proportion to host engagement,
   // never exceeding the engaged hosts' own NICs.
-  double total_weight = 0.0;
-  for (const auto& [id, r] : transfers_) total_weight += static_cast<double>(r.engaged_hosts);
+  const double total_weight = static_cast<double>(total_engaged_);
   const double weight = static_cast<double>(reg.engaged_hosts);
   const double proportional = cluster_nic_rate() * weight / std::max(total_weight, weight);
   BitsPerSecond ceiling = std::min(proportional, weight * config_.nic_rate);

@@ -111,6 +111,9 @@ class Server {
   ServerConfig config_;
   bool online_ = true;
   std::map<std::uint64_t, Registered> transfers_;
+  /// Sum of engaged_hosts over transfers_, kept in step by every
+  /// registration change so share() never sums the registrations.
+  std::int64_t total_engaged_ = 0;
   std::function<void()> listener_;
 };
 

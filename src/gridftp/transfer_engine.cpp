@@ -488,17 +488,16 @@ void TransferEngine::refresh_caps() {
   // own submit/finish paths; the guard prevents re-entrant refresh storms.
   if (refreshing_) return;
   refreshing_ = true;
-  // One batched push: a registration change moves every transfer's share,
-  // and update_caps runs a single allocator pass for the whole batch.
-  std::vector<std::pair<net::FlowId, BitsPerSecond>> caps;
+  // A registration change moves every transfer's share; the network
+  // defers its recompute to the end of the dispatch batch, so pushing the
+  // caps one by one still costs a single allocator pass.
   for (auto& [id, t] : transfers_) {
     if (t.flows.empty()) continue;
     const BitsPerSecond cap = transfer_cap(t);
     for (net::FlowId fid : t.flows) {
-      caps.emplace_back(fid, cap / static_cast<double>(t.flows.size()));
+      network_.update_cap(fid, cap / static_cast<double>(t.flows.size()));
     }
   }
-  network_.update_caps(caps);
   refreshing_ = false;
 }
 

@@ -38,11 +38,23 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   GRIDVC_REQUIRE(link_up.empty() || link_up.size() == nlinks,
                  "link_up must be empty or one entry per link");
   ws.rates.assign(nflows, 0.0);
+  ws.used_links.clear();
   if (nflows == 0) return ws.rates;
 
-  // Flatten every path into one CSR index (and validate while copying):
-  // after this pass no loop touches the per-flow std::vector<LinkId>
-  // storage again — path walks are contiguous scans of ws.path_lnk.
+  // Flatten every path into one CSR index of local link indices (and
+  // validate while copying): a link is stamped with this call's epoch the
+  // first time a path crosses it and gets the next local index. After this
+  // pass no loop touches the per-flow std::vector<LinkId> storage or the
+  // topology-sized arrays again.
+  if (ws.link_epoch.size() != nlinks) {
+    ws.link_epoch.assign(nlinks, 0);
+    ws.link_local.resize(nlinks);
+    ws.epoch = 0;
+  }
+  if (++ws.epoch == 0) {  // wrapped: stale stamps could alias the new epoch
+    std::fill(ws.link_epoch.begin(), ws.link_epoch.end(), 0u);
+    ws.epoch = 1;
+  }
   ws.path_off.resize(nflows + 1);
   ws.cap_limit.resize(nflows);
   std::size_t total_links = 0;
@@ -60,20 +72,27 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
     std::uint32_t off = ws.path_off[i];
     for (LinkId l : *flows[i].path) {
       GRIDVC_REQUIRE(l < nlinks, "flow path references unknown link");
-      ws.path_lnk[off++] = static_cast<std::uint32_t>(l);
+      if (ws.link_epoch[l] != ws.epoch) {
+        ws.link_epoch[l] = ws.epoch;
+        ws.link_local[l] = static_cast<std::uint32_t>(ws.used_links.size());
+        ws.used_links.push_back(l);
+      }
+      ws.path_lnk[off++] = ws.link_local[l];
     }
   }
+  const std::size_t nused = ws.used_links.size();
 
-  ws.residual.assign(nlinks, 0.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
+  ws.residual.resize(nused);
+  for (std::size_t j = 0; j < nused; ++j) {
+    const LinkId l = ws.used_links[j];
     const bool up = link_up.empty() || link_up[l] != 0;
-    ws.residual[l] = up ? topo.link(static_cast<LinkId>(l)).capacity : 0.0;
+    ws.residual[j] = up ? topo.link(l).capacity : 0.0;
   }
 
   // Phase 1: rate guarantees. If a link is oversubscribed by guarantees
   // (should not happen under VC admission control) scale each crossing
   // flow's guarantee by the worst per-link factor on its path.
-  ws.guarantee_load.assign(nlinks, 0.0);
+  ws.guarantee_load.assign(nused, 0.0);
   for (std::size_t i = 0; i < nflows; ++i) {
     const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
     if (g <= 0.0) continue;
@@ -81,10 +100,10 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
       ws.guarantee_load[ws.path_lnk[k]] += g;
     }
   }
-  ws.link_scale.assign(nlinks, 1.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
-    if (ws.guarantee_load[l] > ws.residual[l]) {
-      ws.link_scale[l] = ws.residual[l] / ws.guarantee_load[l];
+  ws.link_scale.assign(nused, 1.0);
+  for (std::size_t j = 0; j < nused; ++j) {
+    if (ws.guarantee_load[j] > ws.residual[j]) {
+      ws.link_scale[j] = ws.residual[j] / ws.guarantee_load[j];
     }
   }
   for (std::size_t i = 0; i < nflows; ++i) {
@@ -112,7 +131,7 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   // preserving index order so the arithmetic sequence is identical to
   // the scalar formulation.
   ws.active.assign(nflows, 0);
-  ws.active_on_link.assign(nlinks, 0);
+  ws.active_on_link.assign(nused, 0);
   ws.active_idx.clear();
   for (std::size_t i = 0; i < nflows; ++i) {
     if (ws.rates[i] >= ws.cap_limit[i] - kEps) continue;  // inf cap never trips
@@ -124,13 +143,15 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   }
 
   // Each iteration freezes at least one flow (cap hit) or saturates at
-  // least one link, so the loop runs at most nflows + nlinks times.
-  for (std::size_t iter = 0; iter < nflows + nlinks + 1 && !ws.active_idx.empty();
+  // least one link, so the loop runs at most nflows + nused times. The
+  // minimum over links is order-free, so scanning only the used links in
+  // local order is bit-identical to a scan over the whole topology.
+  for (std::size_t iter = 0; iter < nflows + nused + 1 && !ws.active_idx.empty();
        ++iter) {
     double delta = kInf;
-    for (std::size_t l = 0; l < nlinks; ++l) {
-      if (ws.active_on_link[l] == 0) continue;
-      delta = std::min(delta, ws.residual[l] / static_cast<double>(ws.active_on_link[l]));
+    for (std::size_t j = 0; j < nused; ++j) {
+      if (ws.active_on_link[j] == 0) continue;
+      delta = std::min(delta, ws.residual[j] / static_cast<double>(ws.active_on_link[j]));
     }
     for (const std::uint32_t i : ws.active_idx) {
       delta = std::min(delta, ws.cap_limit[i] - ws.rates[i]);  // inf - r = inf

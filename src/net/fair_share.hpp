@@ -47,31 +47,42 @@ struct Allocation {
 };
 
 /// Caller-owned scratch state for max_min_allocate. Every per-link and
-/// per-flow working array lives here and is resized with assign(), so a
-/// reused workspace performs zero heap allocations per call once its
-/// vectors have grown to the steady-state flow/link counts (pinned by
-/// the allocator microbenchmark). Treat the members as opaque except
-/// `rates`, which holds the result of the last call.
+/// per-flow working array lives here and is resized in place, so a reused
+/// workspace performs zero heap allocations per call once its vectors
+/// have grown to the steady-state flow/used-link counts (pinned by the
+/// allocator microbenchmark). Treat the members as opaque except `rates`,
+/// which holds the result of the last call, and `used_links`.
 ///
-/// The layout is structure-of-arrays: per-flow state (rates, cap limits,
-/// active flags) and per-link state (residual, counts) live in flat
-/// parallel arrays, and every flow's path is flattened into one CSR
-/// index (`path_off`/`path_lnk`) built once per call — the fill and
-/// freeze loops walk contiguous memory instead of chasing a separate
-/// heap-allocated std::vector<LinkId> per flow per iteration.
+/// The layout is link-sparse structure-of-arrays. Each call stamps the
+/// links on the flows' paths with a fresh epoch and maps them to a dense
+/// local index (`used_links` is the inverse map, in first-seen order), so
+/// every per-link array is sized by the links in use, not the topology —
+/// a link no flow crosses can never bind. Per-flow state (rates, cap
+/// limits, active flags) and per-link state (residual, counts) live in
+/// flat parallel arrays, and every flow's path is flattened into one CSR
+/// index of local link indices (`path_off`/`path_lnk`) built once per
+/// call — the fill and freeze loops walk contiguous memory instead of
+/// chasing a separate heap-allocated std::vector<LinkId> per flow per
+/// iteration.
 struct AllocWorkspace {
   std::vector<BitsPerSecond> rates;  ///< output: one rate per input flow
+  /// Output: topology ids of the links on at least one flow's path, in
+  /// first-seen (local index) order.
+  std::vector<LinkId> used_links;
 
   // Internal scratch (sized per call).
-  std::vector<double> residual;        // per link: unallocated capacity
-  std::vector<double> guarantee_load;  // per link: sum of guarantees
-  std::vector<double> link_scale;      // per link: oversubscription scale
+  std::vector<std::uint32_t> link_epoch;  // per topology link: last stamping call
+  std::vector<std::uint32_t> link_local;  // per topology link: local index if stamped
+  std::uint32_t epoch = 0;
+  std::vector<double> residual;        // per used link: unallocated capacity
+  std::vector<double> guarantee_load;  // per used link: sum of guarantees
+  std::vector<double> link_scale;      // per used link: oversubscription scale
   std::vector<double> cap_limit;       // per flow: cap, +inf when unbounded
   std::vector<char> active;            // per flow: still filling
-  std::vector<std::uint32_t> active_on_link;  // per link: unfrozen crossers
+  std::vector<std::uint32_t> active_on_link;  // per used link: unfrozen crossers
   std::vector<std::uint32_t> active_idx;      // dense index of active flows
   std::vector<std::uint32_t> path_off;        // CSR offsets, nflows + 1
-  std::vector<std::uint32_t> path_lnk;        // CSR flattened link ids
+  std::vector<std::uint32_t> path_lnk;        // CSR flattened local link indices
 };
 
 /// Compute the allocation for `flows` over `topo`.
@@ -91,14 +102,16 @@ Allocation max_min_allocate(const Topology& topo, const std::vector<FlowDemand>&
 Allocation max_min_allocate(const Topology& topo, const std::vector<FlowDemand>& flows,
                             const std::vector<char>& link_up);
 
-/// Allocation hot path: identical semantics to the vector overloads, but
-/// paths are borrowed and all scratch state lives in `ws` — zero heap
-/// allocations per call once the workspace is warm. Paths are flattened
-/// into the workspace's CSR index up front, progressive filling iterates
-/// a dense active-flow list that compacts in stable order as flows
-/// freeze, and per-link active-flow counts are maintained incrementally
-/// (decrementing just the frozen flow's links) instead of recounting
-/// every flow's path each iteration. Returns `ws.rates`.
+/// Allocation hot path: identical semantics (bit-for-bit) to the vector
+/// overloads, but paths are borrowed and all scratch state lives in `ws` —
+/// zero heap allocations per call once the workspace is warm. Work is
+/// proportional to the flows and the links they cross, never to the
+/// topology's link count. Paths are flattened into the workspace's CSR
+/// index up front, progressive filling iterates a dense active-flow list
+/// that compacts in stable order as flows freeze, and per-link
+/// active-flow counts are maintained incrementally (decrementing just the
+/// frozen flow's links) instead of recounting every flow's path each
+/// iteration. Returns `ws.rates`.
 const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
                                                    std::span<const FlowDemandRef> flows,
                                                    const std::vector<char>& link_up,

@@ -58,6 +58,23 @@ Network::Network(sim::Simulator& sim, Topology topology)
       "links carrying traffic");
 }
 
+Network::~Network() {
+  if (dirty_) sim_.cancel_deferred(*this);
+}
+
+void Network::mark_dirty() {
+  if (dirty_) return;
+  dirty_ = true;
+  sim_.defer(*this);
+}
+
+void Network::flush() {
+  // The registration is already gone: the simulator drops it as it
+  // flushes, and current_rate() withdraws it before flushing early.
+  dirty_ = false;
+  recompute();
+}
+
 FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
                            CompletionFn on_complete) {
   GRIDVC_REQUIRE(!path.empty(), "flow path must not be empty");
@@ -69,6 +86,7 @@ FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
 
   const FlowId id = next_id_++;
   ActiveFlow f;
+  f.id = id;
   f.path = std::move(path);
   f.size = size;
   f.bytes_remaining = static_cast<double>(size);
@@ -81,7 +99,7 @@ FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
   flows_.emplace(id, std::move(f));
   sim_.obs().registry().add(id_flows_started_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  mark_dirty();
   return id;
 }
 
@@ -90,19 +108,7 @@ void Network::update_cap(FlowId id, BitsPerSecond cap) {
   GRIDVC_REQUIRE(it != flows_.end(), "update_cap on unknown flow");
   if (it->second.cap == cap) return;
   it->second.cap = cap;
-  recompute();
-}
-
-void Network::update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& caps) {
-  bool changed = false;
-  for (const auto& [id, cap] : caps) {
-    const auto it = flows_.find(id);
-    GRIDVC_REQUIRE(it != flows_.end(), "update_caps on unknown flow");
-    if (it->second.cap == cap) continue;
-    it->second.cap = cap;
-    changed = true;
-  }
-  if (changed) recompute();
+  mark_dirty();
 }
 
 void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
@@ -111,7 +117,7 @@ void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
   GRIDVC_REQUIRE(guarantee >= 0.0, "negative guarantee");
   if (it->second.guarantee == guarantee) return;
   it->second.guarantee = guarantee;
-  recompute();
+  mark_dirty();
 }
 
 void Network::abort_flow(FlowId id) {
@@ -122,7 +128,7 @@ void Network::abort_flow(FlowId id) {
   flows_.erase(it);
   sim_.obs().registry().add(id_flows_aborted_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  mark_dirty();
 }
 
 bool Network::link_up(LinkId id) const {
@@ -141,9 +147,9 @@ void Network::set_link_state(LinkId id, bool up) {
     reg.add(id_link_failures_);
 
     // Pull out every opted-in flow crossing the dead link. Settle first so
-    // the record carries the bytes delivered before the cut; defer the
-    // callbacks until after the survivors' recompute so re-entrant
-    // start_flow calls see a consistent allocation.
+    // the record carries the bytes delivered before the cut; the callbacks
+    // run once the flow set is consistent again (survivors re-allocate
+    // around the dead link at the batch's recompute).
     std::vector<std::pair<FlowRecord, CompletionFn>> failed;
     for (auto it = flows_.begin(); it != flows_.end();) {
       ActiveFlow& f = it->second;
@@ -172,7 +178,7 @@ void Network::set_link_state(LinkId id, bool up) {
     }
     sim_.obs().emit({now, obs::TraceEventType::kLinkDown, id,
                      static_cast<std::uint64_t>(failed.size()), 0.0, 0.0});
-    recompute();  // survivors re-allocate around the dead link
+    mark_dirty();
     for (auto& [record, callback] : failed) {
       if (callback) callback(record);
     }
@@ -182,13 +188,17 @@ void Network::set_link_state(LinkId id, bool up) {
     reg.add(id_link_repairs_);
     reg.observe(id_link_downtime_, downtime);
     sim_.obs().emit({now, obs::TraceEventType::kLinkUp, id, 0, downtime, 0.0});
-    recompute();  // stalled flows pick their rates back up
+    mark_dirty();  // stalled flows pick their rates back up
   }
 }
 
-BitsPerSecond Network::current_rate(FlowId id) const {
+BitsPerSecond Network::current_rate(FlowId id) {
   const auto it = flows_.find(id);
   GRIDVC_REQUIRE(it != flows_.end(), "current_rate on unknown flow");
+  if (dirty_) {
+    sim_.cancel_deferred(*this);
+    flush();
+  }
   return it->second.rate;
 }
 
@@ -246,17 +256,18 @@ void Network::recompute() {
   const Seconds now = sim_.now();
 
   // Borrow each flow's path rather than copying it: the flow records
-  // outlive the allocator call, and the reused scratch vectors make the
-  // whole pass allocation-free at steady state.
+  // outlive the allocator call (std::map nodes are address-stable), and
+  // the reused scratch vectors make the whole pass allocation-free at
+  // steady state.
   std::vector<FlowDemandRef>& demands = demand_scratch_;
-  std::vector<FlowId>& order = order_scratch_;
+  std::vector<ActiveFlow*>& order = order_scratch_;
   demands.clear();
   order.clear();
   demands.reserve(flows_.size());
   order.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
+  for (auto& [id, f] : flows_) {
     demands.push_back(FlowDemandRef{&f.path, f.cap, f.guarantee});
-    order.push_back(id);
+    order.push_back(&f);
   }
   const std::vector<BitsPerSecond>& rates =
       max_min_allocate(topo_, demands, link_up_, alloc_ws_);
@@ -266,7 +277,7 @@ void Network::recompute() {
   std::uint64_t changed = 0;
 
   for (std::size_t i = 0; i < order.size(); ++i) {
-    ActiveFlow& f = flows_.at(order[i]);
+    ActiveFlow& f = *order[i];
     const BitsPerSecond new_rate = rates[i];
     const bool this_changed = rate_changed(f.rate, new_rate);
     if (this_changed) ++changed;
@@ -278,13 +289,12 @@ void Network::recompute() {
     settle_flow(f, now);  // progress so far happened at the old rate
     f.rate = new_rate;
     f.completion.cancel();
+    const FlowId id = f.id;
     if (f.bytes_remaining <= kByteEps) {
       // Finished (or within fluid rounding of finished): complete now.
-      const FlowId id = order[i];
       f.completion = sim_.schedule_in(0.0, [this, id] { complete_flow(id); });
     } else if (f.rate > 0.0) {
       const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
-      const FlowId id = order[i];
       f.completion = sim_.schedule_in(eta, [this, id] { complete_flow(id); });
     }
     // rate == 0: the flow is stalled; it will be rescheduled by the next
@@ -295,13 +305,17 @@ void Network::recompute() {
 
   // Utilization sample: the allocation just computed is exact until the
   // next recompute, so one sample per pass per loaded link captures the
-  // full utilization trajectory.
+  // full utilization trajectory. Only links on some flow's path can carry
+  // traffic; they are visited in ascending id, the order every sample has
+  // always been taken in.
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const ActiveFlow& f = flows_.at(order[i]);
-    for (LinkId l : f.path) link_rate_scratch_[l] += rates[i];
+    for (LinkId l : order[i]->path) link_rate_scratch_[l] += rates[i];
   }
+  std::vector<LinkId>& used = used_link_scratch_;
+  used.assign(alloc_ws_.used_links.begin(), alloc_ws_.used_links.end());
+  std::sort(used.begin(), used.end());
   double peak_utilization = 0.0;
-  for (LinkId l = 0; l < static_cast<LinkId>(link_rate_scratch_.size()); ++l) {
+  for (const LinkId l : used) {
     if (link_rate_scratch_[l] <= 0.0) continue;
     const BitsPerSecond capacity = topo_.link(l).capacity;
     if (capacity > 0.0) {
@@ -312,35 +326,43 @@ void Network::recompute() {
     link_rate_scratch_[l] = 0.0;
   }
 
-  sim_.obs().emit({sim_.now(), obs::TraceEventType::kNetRecompute, 0, changed,
+  sim_.obs().emit({now, obs::TraceEventType::kNetRecompute, 0, changed,
                    static_cast<double>(flows_.size()), peak_utilization});
 }
 
 void Network::complete_flow(FlowId id) {
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;  // aborted concurrently
-  settle_flow(it->second, sim_.now());
-  if (it->second.bytes_remaining > kByteEps) {
+  ActiveFlow& f = it->second;
+  const Seconds now = sim_.now();
+  settle_flow(f, now);
+  if (f.bytes_remaining > kByteEps && f.rate > 0.0) {
     // Fluid rounding left a residue at the scheduled ETA; drain it at the
-    // current rate rather than dropping the flow on the floor.
-    ActiveFlow& f = it->second;
-    if (f.rate > 0.0) {
-      const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
+    // current rate rather than dropping the flow on the floor — unless the
+    // drain is shorter than one clock tick at this epoch (past ~2^23 s a
+    // sub-ulp ETA would re-arm at now forever). Then the residue is
+    // delivered on the spot.
+    const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
+    if (now + eta > now) {
       f.completion = sim_.schedule_in(eta, [this, id] { complete_flow(id); });
+      return;
     }
-    return;
+    for (LinkId l : f.path) link_bytes_[l] += f.bytes_remaining;
+    f.bytes_remaining = 0.0;
+  } else if (f.bytes_remaining > kByteEps) {
+    return;  // stalled: the next recompute that gives it bandwidth re-arms
   }
   FlowRecord record;
   record.id = id;
-  record.size = it->second.size;
-  record.delivered = it->second.size;
-  record.start_time = it->second.start_time;
-  record.end_time = sim_.now();
-  CompletionFn callback = std::move(it->second.on_complete);
+  record.size = f.size;
+  record.delivered = f.size;
+  record.start_time = f.start_time;
+  record.end_time = now;
+  CompletionFn callback = std::move(f.on_complete);
   flows_.erase(it);
   sim_.obs().registry().add(id_flows_completed_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  mark_dirty();
   if (callback) callback(record);
 }
 

@@ -1,12 +1,19 @@
 // Flow-level network engine.
 //
 // The engine simulates elastic data flows over the Topology in a
-// discrete-event fashion: whenever the flow set changes (arrival,
-// completion, abort, or a cap/guarantee update), it recomputes the
-// max-min fair allocation (fair_share.hpp) and diffs it against the old
-// one: only flows whose rate actually changed are settled (byte progress
-// and per-link byte counters) and have their completion event cancelled
-// and rescheduled. A flow whose rate is untouched keeps its already
+// discrete-event fashion. Every flow-set or demand change (arrival,
+// completion, abort, cap/guarantee update, link up/down) only marks the
+// network dirty and registers it with the simulator's deferred-work hook;
+// the simulator flushes it before it next examines its queue, so one
+// max-min recompute (fair_share.hpp) serves the whole same-timestamp
+// batch of changes, and it always runs before time can advance.
+// current_rate() flushes first; byte progress reads need no flush, since
+// the old rates are exact up to now().
+//
+// A recompute diffs the new allocation against the old one: only flows
+// whose rate actually changed are settled (byte progress and per-link
+// byte counters) and have their completion event cancelled and
+// rescheduled. A flow whose rate is untouched keeps its already
 // scheduled completion — its absolute ETA is invariant while the rate
 // holds — so an arrival or completion costs O(affected flows) event
 // churn, not O(all flows). Per-link cumulative byte counters feed the
@@ -62,11 +69,14 @@ struct FlowOptions {
   bool fail_on_link_down = false;
 };
 
-class Network {
+class Network final : private sim::Deferred {
  public:
   using CompletionFn = std::function<void(const FlowRecord&)>;
 
   Network(sim::Simulator& sim, Topology topology);
+  /// Withdraws a pending recompute, so a network destroyed mid-batch is
+  /// never flushed.
+  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -80,14 +90,10 @@ class Network {
   FlowId start_flow(Path path, Bytes size, FlowOptions options, CompletionFn on_complete);
 
   /// Change a flow's demand cap (e.g. the sending server's per-transfer
-  /// share changed). <= 0 removes the cap.
+  /// share changed). <= 0 removes the cap. A loop of these (a server
+  /// registration change moves every in-flight transfer's share) still
+  /// costs one recompute.
   void update_cap(FlowId id, BitsPerSecond cap);
-
-  /// Batched form of update_cap: apply every (flow, cap) pair, then run a
-  /// single recompute if anything changed. Server registration changes
-  /// shift the share of *every* in-flight transfer at once; pushing those
-  /// caps one by one would pay one allocator pass per flow.
-  void update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& caps);
 
   /// Change a flow's reserved rate (e.g. its VC was set up or torn down
   /// mid-flow).
@@ -106,8 +112,9 @@ class Network {
   /// Current up/down state of a link (links start up).
   bool link_up(LinkId id) const;
 
-  /// Instantaneous allocated rate of an active flow.
-  BitsPerSecond current_rate(FlowId id) const;
+  /// Instantaneous allocated rate of an active flow. Runs a pending
+  /// recompute first, so the answer reflects every change made so far.
+  BitsPerSecond current_rate(FlowId id);
 
   /// Bytes still to deliver for an active flow (settled to now()).
   Bytes remaining_bytes(FlowId id);
@@ -133,6 +140,7 @@ class Network {
 
  private:
   struct ActiveFlow {
+    FlowId id = 0;
     Path path;
     Bytes size = 0;
     double bytes_remaining = 0.0;
@@ -150,6 +158,11 @@ class Network {
   // Flows settle lazily at their own pace: progress is linear while the
   // rate holds, so only rate changes and reads force a settle.
   void settle_flow(ActiveFlow& f, Seconds now);
+  // Every mutation ends here: register for the simulator's flush once per
+  // dirty period.
+  void mark_dirty();
+  // sim::Deferred: the flush runs the batch's single recompute.
+  void flush() override;
   void recompute();
   void complete_flow(FlowId id);
 
@@ -160,10 +173,13 @@ class Network {
   std::vector<double> link_bytes_;
   std::vector<double> link_rate_scratch_;  ///< reused per recompute
   // Reused allocator inputs/scratch: recompute() performs zero heap
-  // allocations once these reach the steady-state flow count.
+  // allocations once these reach the steady-state flow and used-link
+  // counts.
   AllocWorkspace alloc_ws_;
   std::vector<FlowDemandRef> demand_scratch_;
-  std::vector<FlowId> order_scratch_;
+  std::vector<ActiveFlow*> order_scratch_;  ///< flows_ in id order
+  std::vector<LinkId> used_link_scratch_;   ///< used links, ascending id
+  bool dirty_ = false;
   std::vector<char> link_up_;              ///< per-link up/down state
   std::vector<Seconds> link_down_since_;   ///< valid while the link is down
   FlowId next_id_ = 1;

@@ -112,6 +112,16 @@ bool Simulator::event_pending(std::uint32_t slot, std::uint64_t generation) cons
   return s.live && s.generation == generation;
 }
 
+void Simulator::defer(Deferred& work) { deferred_.push_back(&work); }
+
+void Simulator::cancel_deferred(Deferred& work) { std::erase(deferred_, &work); }
+
+void Simulator::flush_deferred() {
+  // Index loop: a flush may append new registrations, which run in turn.
+  for (std::size_t i = 0; i < deferred_.size(); ++i) deferred_[i]->flush();
+  deferred_.clear();
+}
+
 void Simulator::drop_dead_events() {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -159,6 +169,7 @@ void Simulator::dispatch_entry(const QueuedEvent& e) {
 }
 
 bool Simulator::step() {
+  flush_deferred();
   while (!heap_.empty()) {
     const QueuedEvent top = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -171,12 +182,14 @@ bool Simulator::step() {
 }
 
 std::optional<Seconds> Simulator::next_event_time() {
+  flush_deferred();
   drop_dead_events();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().when;
 }
 
 bool Simulator::collect_batch(Seconds deadline) {
+  flush_deferred();
   drop_dead_events();
   if (heap_.empty() || heap_.front().when > deadline) return false;
   const Seconds when = heap_.front().when;

@@ -12,6 +12,14 @@
 // {when, seq, slot, generation}, a cancel is a generation bump (no heap
 // surgery), and stale heap entries are skipped at pop time and compacted
 // away in bulk once dead entries outnumber live ones.
+//
+// Deferred work: a subsystem whose reaction to a burst of mutations can
+// wait until the burst is over (the network's fair-share recompute)
+// registers a Deferred once per dirty period. The simulator flushes every
+// registration before it next looks at its queue — at the top of each
+// dispatch batch, step() and next_event_time() — so the reaction still
+// runs at the timestamp of the mutations, before time can advance, and
+// one pass serves the whole same-timestamp batch.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +55,17 @@ class EventHandle {
   Simulator* sim_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint64_t generation_ = 0;
+};
+
+/// A batched reaction to same-timestamp mutations (see the file comment).
+/// Registered through Simulator::defer; flush() runs once per
+/// registration, at the current time, before the queue is next examined.
+class Deferred {
+ public:
+  virtual void flush() = 0;
+
+ protected:
+  ~Deferred() = default;
 };
 
 /// The event loop.
@@ -104,7 +123,18 @@ class Simulator {
   /// Process exactly one event if any is queued; returns false when empty.
   bool step();
 
-  /// Timestamp of the earliest live event, or nothing when idle. Drops
+  /// Register `work` to flush before the queue is next examined. The
+  /// caller registers at most once per dirty period (flush() or
+  /// cancel_deferred ends it); flushes run in registration order and may
+  /// schedule events or register again.
+  void defer(Deferred& work);
+
+  /// Withdraw a pending registration (a subsystem flushing itself early,
+  /// or being destroyed while dirty). No-op when not registered.
+  void cancel_deferred(Deferred& work);
+
+  /// Flushes pending deferred work, then returns the timestamp of the
+  /// earliest live event, or nothing when idle. Drops
   /// cancelled tombstones off the heap top as a side effect; O(1) amortized.
   /// Conservative lookahead scheduling (src/shard/) polls this every
   /// barrier round to pick the next epoch horizon.
@@ -127,9 +157,10 @@ class Simulator {
     return Counters{scheduled(), cancelled(), dispatched(), live_};
   }
 
-  /// True when no live (non-cancelled) events remain. Exact: cancelled
-  /// tombstones still sitting in the heap do not count as busy.
-  bool idle() const { return live_ == 0; }
+  /// True when no live (non-cancelled) events remain and no deferred work
+  /// awaits its flush. Exact: cancelled tombstones still sitting in the
+  /// heap do not count as busy.
+  bool idle() const { return live_ == 0 && deferred_.empty(); }
 
  private:
   friend class EventHandle;
@@ -164,12 +195,16 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   void push_entry(Seconds when, std::uint32_t slot, std::uint64_t generation);
   bool entry_live(const QueuedEvent& e) const;
+  // Runs every pending deferred flush (including ones registered by a
+  // flush) and clears the registration list.
+  void flush_deferred();
   // Pops stale entries (released or re-armed-elsewhere slots) off the top.
   void drop_dead_events();
   // Rebuilds the heap without tombstones once they outnumber live events.
   void maybe_compact();
-  // Pops every live entry sharing the earliest timestamp <= deadline into
-  // batch_ (seq order preserved). Returns false when nothing qualifies.
+  // Flushes deferred work, then pops every live entry sharing the
+  // earliest timestamp <= deadline into batch_ (seq order preserved).
+  // Returns false when nothing qualifies.
   bool collect_batch(Seconds deadline);
   // Runs one popped entry: advances now_, counts the dispatch, fires the
   // callback (re-arming periodic series). The entry must be live.
@@ -194,6 +229,7 @@ class Simulator {
   std::vector<QueuedEvent> batch_;  // same-timestamp dispatch buffer
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Deferred*> deferred_;  // registration order
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

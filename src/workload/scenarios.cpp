@@ -357,12 +357,17 @@ AnlNerscResult run_anl_nersc_tests(const AnlNerscConfig& config, std::uint64_t s
   result.all_log = collector.take_log();
   gridftp::sort_by_start(result.all_log);
 
+  // The log is sorted by start time: binary-search to the first record
+  // starting with the test, then scan that equal-start run for it.
   const auto find_index = [&](const gridftp::TransferRecord& r) -> std::size_t {
-    for (std::size_t i = 0; i < result.all_log.size(); ++i) {
-      const auto& c = result.all_log[i];
-      if (c.start_time == r.start_time && c.size == r.size &&
-          c.duration == r.duration && c.remote_host == r.remote_host) {
-        return i;
+    const auto& log = result.all_log;
+    auto it = std::partition_point(log.begin(), log.end(), [&](const auto& c) {
+      return c.start_time < r.start_time;
+    });
+    for (; it != log.end() && it->start_time == r.start_time; ++it) {
+      if (it->size == r.size && it->duration == r.duration &&
+          it->remote_host == r.remote_host) {
+        return static_cast<std::size_t>(it - log.begin());
       }
     }
     throw NotFoundError("test transfer missing from the collected log");

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "scalar_reference_allocate.hpp"
 
 namespace gridvc::net {
 namespace {
@@ -224,96 +226,6 @@ TEST(FairShare, WorkspaceOverloadMatchesPlainApi) {
   }
 }
 
-// Straight transcription of the pre-SoA scalar allocator (per-flow path
-// chasing, flag-scan fill loop). The CSR/dense-list implementation is a
-// layout change only, so it must reproduce this arithmetic sequence
-// bit-for-bit.
-std::vector<BitsPerSecond> scalar_reference_allocate(const Topology& topo,
-                                                     const std::vector<FlowDemand>& flows,
-                                                     const std::vector<char>& link_up) {
-  constexpr double kRefEps = 1e-3;
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::size_t nflows = flows.size();
-  const std::size_t nlinks = topo.link_count();
-  std::vector<BitsPerSecond> rates(nflows, 0.0);
-  if (nflows == 0) return rates;
-  std::vector<double> residual(nlinks, 0.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
-    const bool up = link_up.empty() || link_up[l] != 0;
-    residual[l] = up ? topo.link(static_cast<LinkId>(l)).capacity : 0.0;
-  }
-  std::vector<double> guarantee_load(nlinks, 0.0);
-  for (const auto& f : flows) {
-    const double g = f.cap > 0.0 ? std::min(f.guarantee, f.cap) : f.guarantee;
-    if (g <= 0.0) continue;
-    for (LinkId l : f.path) guarantee_load[l] += g;
-  }
-  std::vector<double> link_scale(nlinks, 1.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
-    if (guarantee_load[l] > residual[l]) link_scale[l] = residual[l] / guarantee_load[l];
-  }
-  for (std::size_t i = 0; i < nflows; ++i) {
-    double g = flows[i].cap > 0.0 ? std::min(flows[i].guarantee, flows[i].cap)
-                                  : flows[i].guarantee;
-    if (g <= 0.0) continue;
-    double scale = 1.0;
-    for (LinkId l : flows[i].path) scale = std::min(scale, link_scale[l]);
-    rates[i] = g * scale;
-  }
-  for (std::size_t i = 0; i < nflows; ++i) {
-    if (rates[i] <= 0.0) continue;
-    for (LinkId l : flows[i].path) residual[l] = std::max(0.0, residual[l] - rates[i]);
-  }
-  std::vector<char> active(nflows, 0);
-  std::vector<std::uint32_t> active_on_link(nlinks, 0);
-  std::size_t active_count = 0;
-  for (std::size_t i = 0; i < nflows; ++i) {
-    if (flows[i].cap > 0.0 && rates[i] >= flows[i].cap - kRefEps) continue;
-    active[i] = 1;
-    ++active_count;
-    for (LinkId l : flows[i].path) ++active_on_link[l];
-  }
-  for (std::size_t iter = 0; iter < nflows + nlinks + 1 && active_count > 0; ++iter) {
-    double delta = inf;
-    for (std::size_t l = 0; l < nlinks; ++l) {
-      if (active_on_link[l] == 0) continue;
-      delta = std::min(delta, residual[l] / static_cast<double>(active_on_link[l]));
-    }
-    for (std::size_t i = 0; i < nflows; ++i) {
-      if (!active[i]) continue;
-      if (flows[i].cap > 0.0) delta = std::min(delta, flows[i].cap - rates[i]);
-    }
-    if (delta == inf) break;
-    delta = std::max(delta, 0.0);
-    for (std::size_t i = 0; i < nflows; ++i) {
-      if (!active[i]) continue;
-      rates[i] += delta;
-      for (LinkId l : flows[i].path) residual[l] -= delta;
-    }
-    bool froze = false;
-    for (std::size_t i = 0; i < nflows; ++i) {
-      if (!active[i]) continue;
-      bool saturated = flows[i].cap > 0.0 && rates[i] >= flows[i].cap - kRefEps;
-      if (!saturated) {
-        for (LinkId l : flows[i].path) {
-          if (residual[l] <= kRefEps) {
-            saturated = true;
-            break;
-          }
-        }
-      }
-      if (saturated) {
-        active[i] = 0;
-        --active_count;
-        for (LinkId l : flows[i].path) --active_on_link[l];
-        froze = true;
-      }
-    }
-    if (!froze) break;
-  }
-  return rates;
-}
-
 // SoA-vs-scalar equivalence at scale: 10k flows over a 12-link backbone
 // chain, mixed caps/guarantees/down-links, compared bit-for-bit against
 // the scalar transcription above.
@@ -361,6 +273,53 @@ TEST(FairShare, SoALayoutMatchesScalarReferenceAt10kFlows) {
   // And through the plain vector API (which routes through the SoA path).
   const Allocation plain = max_min_allocate(topo, flows, link_up);
   ASSERT_EQ(plain.rates, std::vector<BitsPerSecond>(rates.begin(), rates.end()));
+}
+
+// Link-sparse indexing: a 40-link star where each round's flows cross only
+// a handful of links, through one workspace reused across rounds (so the
+// epoch stamps of earlier rounds are live). Every round must match the
+// scalar reference, which sizes its arrays by the whole topology, and
+// report exactly the links the flows cross.
+TEST(FairShare, LinkSparseWorkspaceMatchesScalarReference) {
+  Topology topo;
+  const NodeId hub = topo.add_node("hub", NodeKind::kRouter);
+  std::vector<LinkId> in, out;
+  for (int i = 0; i < 20; ++i) {
+    const NodeId h = topo.add_node("h" + std::to_string(i), NodeKind::kHost);
+    in.push_back(topo.add_link(h, hub, mbps(100.0 * (i + 1)), 0.001));
+    out.push_back(topo.add_link(hub, h, mbps(50.0 * (i + 2)), 0.001));
+  }
+  Rng rng(4096);
+  AllocWorkspace ws;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<FlowDemand> flows;
+    const int n = static_cast<int>(rng.uniform_int(0, 12));
+    for (int i = 0; i < n; ++i) {
+      FlowDemand d;
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, 5));
+      const auto b = static_cast<std::size_t>(rng.uniform_int(0, 19));
+      d.path = rng.bernoulli(0.3) ? Path{in[a]} : Path{in[a], out[b]};
+      if (rng.bernoulli(0.5)) d.cap = mbps(rng.uniform(10.0, 900.0));
+      if (rng.bernoulli(0.3)) d.guarantee = mbps(rng.uniform(10.0, 300.0));
+      flows.push_back(std::move(d));
+    }
+    std::vector<char> link_up(topo.link_count(), 1);
+    if (rng.bernoulli(0.2)) link_up[in[0]] = 0;
+
+    std::vector<FlowDemandRef> refs;
+    for (const auto& d : flows) refs.push_back({&d.path, d.cap, d.guarantee});
+    const std::vector<BitsPerSecond>& rates = max_min_allocate(topo, refs, link_up, ws);
+    const std::vector<BitsPerSecond> ref = scalar_reference_allocate(topo, flows, link_up);
+    ASSERT_EQ(rates, ref) << "round " << round;
+
+    std::vector<LinkId> crossed;
+    for (const auto& d : flows) crossed.insert(crossed.end(), d.path.begin(), d.path.end());
+    std::sort(crossed.begin(), crossed.end());
+    crossed.erase(std::unique(crossed.begin(), crossed.end()), crossed.end());
+    std::vector<LinkId> used(ws.used_links.begin(), ws.used_links.end());
+    std::sort(used.begin(), used.end());
+    ASSERT_EQ(used, crossed) << "round " << round;
+  }
 }
 
 }  // namespace

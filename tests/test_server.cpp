@@ -123,5 +123,30 @@ TEST(Server, PreconditionViolations) {
   EXPECT_THROW(Server{bad}, gridvc::PreconditionError);
 }
 
+// share() reads a running total of engaged hosts; every registration
+// change must keep it in step with the registrations themselves.
+TEST(Server, SharesTrackEveryRegistrationChange) {
+  ServerConfig c = basic();
+  c.pool_size = 4;  // cluster NIC 16 Gbps
+  Server s(c);
+  s.add_transfer(1, 3, IoMode::kMemory);  // w = 3
+  s.add_transfer(2, 1, IoMode::kMemory);  // w = 1
+  EXPECT_DOUBLE_EQ(s.share(1), gbps(12));
+  EXPECT_DOUBLE_EQ(s.share(2), gbps(4));
+  s.add_transfer(3, 4, IoMode::kMemory);  // w = 4, total 8
+  EXPECT_DOUBLE_EQ(s.share(1), gbps(6));
+  EXPECT_DOUBLE_EQ(s.share(3), gbps(8));
+  s.remove_transfer(1);  // total 5
+  EXPECT_DOUBLE_EQ(s.share(2), gbps(16) / 5.0);
+  s.set_pool_size(2);  // w3 clamps to 2, total 3, cluster 8 Gbps
+  EXPECT_DOUBLE_EQ(s.share(2), gbps(8) / 3.0);
+  EXPECT_DOUBLE_EQ(s.share(3), gbps(8) * 2.0 / 3.0);
+  s.set_online(false);  // crash wipes every registration
+  s.set_online(true);
+  s.add_transfer(4, 1, IoMode::kMemory);  // alone again
+  EXPECT_DOUBLE_EQ(s.share(4), gbps(4));
+  EXPECT_EQ(s.concurrency(), 1u);
+}
+
 }  // namespace
 }  // namespace gridvc::gridftp

@@ -367,5 +367,67 @@ TEST(Simulator, StepProcessesOneEvent) {
   EXPECT_EQ(fired, 2);
 }
 
+// Deferred work flushes once per registration at the timestamp of the
+// batch that registered it, before time advances, and keeps the simulator
+// busy until then.
+struct RecordingWork final : Deferred {
+  Simulator* sim = nullptr;
+  std::vector<Seconds> flushed_at;
+  void flush() override { flushed_at.push_back(sim->now()); }
+};
+
+TEST(Simulator, DeferredWorkFlushesBeforeTimeAdvances) {
+  Simulator sim;
+  RecordingWork work;
+  work.sim = &sim;
+  sim.schedule_at(1.0, [&] { sim.defer(work); });
+  sim.schedule_at(1.0, [&] { EXPECT_TRUE(work.flushed_at.empty()); });
+  sim.schedule_at(2.0, [] {});
+  sim.run();
+  EXPECT_EQ(work.flushed_at, std::vector<Seconds>{1.0});
+}
+
+TEST(Simulator, PendingDeferredWorkIsNotIdle) {
+  Simulator sim;
+  RecordingWork work;
+  work.sim = &sim;
+  sim.defer(work);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_FALSE(sim.next_event_time().has_value());  // flushes, queue empty
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(work.flushed_at.size(), 1u);
+
+  sim.defer(work);
+  EXPECT_FALSE(sim.step());  // step() flushes too
+  EXPECT_EQ(work.flushed_at.size(), 2u);
+
+  sim.defer(work);
+  sim.cancel_deferred(work);  // withdrawn: never flushed
+  EXPECT_TRUE(sim.idle());
+  sim.run();
+  EXPECT_EQ(work.flushed_at.size(), 2u);
+}
+
+// A flush may schedule events at the current time; they dispatch before
+// the clock moves on.
+TEST(Simulator, DeferredFlushCanScheduleAtNow) {
+  struct Scheduling final : Deferred {
+    Simulator* sim = nullptr;
+    std::vector<Seconds>* fired = nullptr;
+    void flush() override {
+      sim->schedule_in(0.0, [this] { fired->push_back(sim->now()); });
+    }
+  };
+  Simulator sim;
+  std::vector<Seconds> fired;
+  Scheduling work;
+  work.sim = &sim;
+  work.fired = &fired;
+  sim.schedule_at(3.0, [&] { sim.defer(work); });
+  sim.schedule_at(4.0, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Seconds>{3.0, 4.0}));
+}
+
 }  // namespace
 }  // namespace gridvc::sim
