@@ -76,12 +76,26 @@ TransferLog read_log(std::istream& in) {
 }
 
 void sort_by_start(TransferLog& log) {
-  // Parallel stable sort with thread-count-independent run bounds: the
-  // result is byte-identical to std::stable_sort at any --threads value.
-  exec::parallel_sort(log, [](const TransferRecord& a, const TransferRecord& b) {
-    if (a.start_time != b.start_time) return a.start_time < b.start_time;
-    return a.end_time() < b.end_time();
-  });
+  // Sort compact keys, not records. parallel_sort is a stable sort with
+  // thread-count-independent run bounds, so the permutation is exactly
+  // std::stable_sort's at any --threads value.
+  std::vector<StartKey> keys(log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) keys[i] = {log[i].start_time, log[i].end_time(), i};
+  exec::parallel_sort(keys);
+  // Apply the permutation in place, one cycle at a time (slot i takes
+  // record keys[i].index); gathering into a second log would hold two
+  // copies of a million-record log at once.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].index == i) continue;
+    TransferRecord held = std::move(log[i]);
+    std::size_t j = i;
+    for (std::size_t k = keys[j].index; k != i; j = k, k = keys[j].index) {
+      log[j] = std::move(log[k]);
+      keys[j].index = j;
+    }
+    log[j] = std::move(held);
+    keys[j].index = j;
+  }
 }
 
 void anonymize_remote_hosts(TransferLog& log) {

@@ -13,6 +13,7 @@
 // the NERSC situation where session grouping was impossible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -51,6 +52,20 @@ struct TransferRecord {
 };
 
 using TransferLog = std::vector<TransferRecord>;
+
+/// A record's sort key for the (start_time, end_time) order that session
+/// grouping requires. `index` (its log position) is payload: operator<
+/// does not compare it, so a stable sort keeps ties in log order.
+struct StartKey {
+  Seconds start = 0.0;
+  Seconds end = 0.0;
+  std::size_t index = 0;
+
+  friend bool operator<(const StartKey& a, const StartKey& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.end < b.end;
+  }
+};
 
 /// Serialize to CSV with a header row.
 void write_log(std::ostream& out, const TransferLog& log);

@@ -22,11 +22,18 @@ double quantile_sorted(std::span<const double> sorted, double p) {
 }
 
 double quantile(std::span<const double> values, double p) {
+  GRIDVC_REQUIRE(!values.empty(), "quantile of empty data");
+  GRIDVC_REQUIRE(p >= 0.0 && p <= 1.0, "quantile probability out of range");
+  // Selection instead of a full sort: quantile_sorted reads only order
+  // statistics floor(h) and floor(h)+1. nth_element puts the first in
+  // place with everything after it no smaller, so the second is the
+  // minimum of that tail. Same two values, same interpolation: the result
+  // is bit-identical to sorting, in O(n).
   std::vector<double> copy(values.begin(), values.end());
-  // Parallel for the million-sample throughput vectors; result is
-  // identical to a serial sort at any thread count (doubles compare
-  // totally here, so stability is moot).
-  exec::parallel_sort(copy);
+  const auto lo = copy.begin() + static_cast<std::ptrdiff_t>(
+                                     std::floor(static_cast<double>(copy.size() - 1) * p));
+  std::nth_element(copy.begin(), lo, copy.end());
+  if (lo + 1 != copy.end()) std::iter_swap(lo + 1, std::min_element(lo + 1, copy.end()));
   return quantile_sorted(copy, p);
 }
 

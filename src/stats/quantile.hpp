@@ -15,7 +15,8 @@ namespace gridvc::stats {
 /// Requires a non-empty, sorted input.
 double quantile_sorted(std::span<const double> sorted, double p);
 
-/// Quantile of unsorted data (copies and sorts). Requires non-empty input.
+/// Quantile of unsorted data (copies and selects, O(n); bit-identical to
+/// quantile_sorted over a sorted copy). Requires non-empty input.
 double quantile(std::span<const double> values, double p);
 
 /// All requested quantiles in one pass over a single sorted copy.

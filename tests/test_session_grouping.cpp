@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
+#include "reference_group_sessions.hpp"
 
 namespace gridvc::analysis {
 namespace {
@@ -184,6 +186,58 @@ TEST_P(GapMonotonicity, SessionCountNonIncreasingInGap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLogs, GapMonotonicity, ::testing::Range(1, 17));
+
+// Differential check against the string-keyed reference: random unsorted
+// logs over several endpoint pairs (one with an anonymized remote), runs
+// of repeated pairs, exact (start, end) ties, both directions, every
+// session compared field by field including index order. Logs above the
+// parallel-sweep threshold run at pool widths 1 and 4.
+class GroupingMatchesReference : public ::testing::TestWithParam<int> {};
+
+TEST_P(GroupingMatchesReference, SessionsIdenticalFieldByField) {
+  struct RestoreThreads {
+    ~RestoreThreads() { exec::set_default_threads(0); }
+  } restore;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  const std::string servers[] = {"dtn01.ncar.example", "dtn02.ncar.example"};
+  const std::string remotes[] = {"", "r1", "xfer-node-17.nics.example", "hpss.slac.example"};
+  const std::size_t n = GetParam() % 2 == 0 ? 6000 : 400;
+  TransferLog log;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!log.empty() && rng.bernoulli(0.5)) {
+      log.push_back(log.back());  // same endpoint pair as the previous record
+    } else {
+      log.push_back(make(0, 1, "", MiB, servers[rng.uniform_int(0, 1)]));
+      log.back().remote_host = remotes[rng.uniform_int(0, 3)];
+    }
+    TransferRecord& r = log.back();
+    r.type = rng.bernoulli(0.5) ? TransferType::kStore : TransferType::kRetrieve;
+    r.start_time = static_cast<double>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    r.duration = static_cast<double>(rng.uniform_int(0, 3)) * 0.5;  // exact ties
+    r.size = static_cast<Bytes>(rng.uniform_int(1, 1 << 20));
+  }
+
+  for (const unsigned threads : {1u, 4u}) {
+    exec::set_default_threads(threads);
+    for (const bool split : {false, true}) {
+      for (const double gap : {0.0, 0.5, 3.0}) {
+        const GroupingOptions options{.gap = gap, .split_by_direction = split};
+        const auto expected = reference_group_sessions(log, options);
+        const auto actual = group_sessions(log, options);
+        ASSERT_EQ(actual.size(), expected.size()) << "gap=" << gap << " split=" << split;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(actual[i].key, expected[i].key) << i;
+          EXPECT_EQ(actual[i].transfer_indices, expected[i].transfer_indices) << i;
+          EXPECT_EQ(actual[i].total_bytes, expected[i].total_bytes) << i;
+          EXPECT_EQ(actual[i].start_time, expected[i].start_time) << i;
+          EXPECT_EQ(actual[i].end_time, expected[i].end_time) << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLogs, GroupingMatchesReference, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace gridvc::analysis

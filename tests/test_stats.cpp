@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -54,6 +55,26 @@ TEST(Quantile, BatchMatchesSingle) {
   ASSERT_EQ(qs.size(), 3u);
   for (std::size_t i = 0; i < probs.size(); ++i) {
     EXPECT_DOUBLE_EQ(qs[i], quantile(v, probs[i]));
+  }
+}
+
+TEST(Quantile, SelectionMatchesSortReferenceBitwise) {
+  // Heavy duplicates (most values drawn from a small pool) put equal
+  // order statistics on both sides of floor(h); the rest are distinct, so
+  // some probabilities interpolate between unequal neighbours.
+  Rng rng(23);
+  for (const std::size_t n : {1u, 2u, 3u, 100000u}) {
+    std::vector<double> v(n);
+    for (auto& x : v) {
+      x = rng.bernoulli(0.7) ? static_cast<double>(rng.uniform_int(0, 50)) * 1.37e6
+                             : rng.uniform(0.0, 7e7);
+    }
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1e-9, 0.25, 0.5, 0.75, 1.0}) {
+      EXPECT_EQ(quantile(v, p), quantile_sorted(sorted, p)) << "n=" << n << " p=" << p;
+    }
+    EXPECT_EQ(median(v), quantile_sorted(sorted, 0.5)) << "n=" << n;
   }
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace gridvc::gridftp {
 namespace {
@@ -62,6 +66,42 @@ TEST(TransferLog, SortByStartIsStableOnTies) {
   EXPECT_DOUBLE_EQ(log[0].start_time, 1.0);
   EXPECT_DOUBLE_EQ(log[0].duration, 2.0);  // earlier end first
   EXPECT_DOUBLE_EQ(log[2].start_time, 5.0);
+}
+
+TEST(TransferLog, SortByStartMatchesStableSortInPlace) {
+  // Large enough for parallel_sort's multi-run path at width 4, with
+  // exact (start, end) ties that only stability orders.
+  struct RestoreThreads {
+    ~RestoreThreads() { exec::set_default_threads(0); }
+  } restore;
+  Rng rng(5);
+  TransferLog original;
+  for (int i = 0; i < 40000; ++i) {
+    original.push_back(make(static_cast<double>(rng.uniform_int(0, 5000)),
+                            static_cast<double>(rng.uniform_int(0, 2)),
+                            static_cast<Bytes>(i)));  // size tags the source record
+    original.back().remote_host = "remote-" + std::to_string(i % 7) + ".example.org";
+  }
+  TransferLog expected = original;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TransferRecord& a, const TransferRecord& b) {
+                     if (a.start_time != b.start_time) return a.start_time < b.start_time;
+                     return a.end_time() < b.end_time();
+                   });
+  for (const unsigned threads : {1u, 4u}) {
+    exec::set_default_threads(threads);
+    TransferLog log = original;
+    const TransferRecord* const storage = log.data();
+    sort_by_start(log);
+    EXPECT_EQ(log.data(), storage) << "threads=" << threads;
+    ASSERT_EQ(log.size(), expected.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      ASSERT_EQ(log[i].size, expected[i].size) << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(log[i].remote_host, expected[i].remote_host) << i;
+      ASSERT_EQ(log[i].start_time, expected[i].start_time) << i;
+      ASSERT_EQ(log[i].duration, expected[i].duration) << i;
+    }
+  }
 }
 
 TEST(TransferLog, AnonymizeClearsRemotes) {
