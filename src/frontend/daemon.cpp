@@ -83,7 +83,7 @@ Daemon::Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
 Daemon::~Daemon() {
   if (accept_thread_.joinable()) accept_thread_.join();
   std::lock_guard<std::mutex> lk(readers_mu_);
-  for (std::thread& t : readers_) {
+  for (auto& [fd, t] : readers_) {
     if (t.joinable()) t.join();
   }
 }
@@ -109,8 +109,7 @@ void Daemon::accept_loop() {
       break;  // listen socket shut down by the teardown path
     }
     std::lock_guard<std::mutex> lk(readers_mu_);
-    conn_fds_.push_back(fd);
-    readers_.emplace_back(&Daemon::reader_loop, this, fd);
+    readers_.emplace(fd, std::thread(&Daemon::reader_loop, this, fd));
   }
 }
 
@@ -164,6 +163,19 @@ void Daemon::drop_connection(int connection) {
     }
     connection_sessions_.erase(it);
   }
+  // The EOF item is the reader's last push, so the join is short. The fd
+  // leaves readers_ before it is closed: accept() may hand the number out
+  // again right after.
+  std::thread reader;
+  {
+    std::lock_guard<std::mutex> lk(readers_mu_);
+    const auto r = readers_.find(connection);
+    if (r != readers_.end()) {
+      reader = std::move(r->second);
+      readers_.erase(r);
+    }
+  }
+  if (reader.joinable()) reader.join();
   ::close(connection);
 }
 
@@ -220,15 +232,14 @@ std::uint64_t Daemon::run() {
   }
   {
     std::lock_guard<std::mutex> lk(readers_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& [fd, t] : readers_) ::shutdown(fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lk(readers_mu_);
-    for (std::thread& t : readers_) {
+    for (auto& [fd, t] : readers_) {
       if (t.joinable()) t.join();
     }
-    readers_.clear();
   }
   while (ring_.pop(item, 0)) handle_item(item);  // pending EOFs close fds
   ::close(listen_fd_);

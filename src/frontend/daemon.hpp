@@ -12,7 +12,11 @@
 //                     When the ring is full the push blocks — the TCP
 //                     buffer and then the client stall, which is the
 //                     transport-level backpressure story: an overloaded
-//                     daemon slows readers before it drops work.
+//                     daemon slows readers before it drops work. A
+//                     reader's last item is its connection's EOF; the
+//                     handler joins the reader and closes the fd when it
+//                     handles that item, so a closed connection leaves
+//                     no thread stack or fd behind.
 //   handler loop      (Daemon::run, caller's thread) alternates between
 //                     advancing the simulator to the wall-clock-mapped
 //                     sim time and executing ring items against the
@@ -124,8 +128,8 @@ class Daemon {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::mutex readers_mu_;
-  std::vector<std::thread> readers_;
-  std::vector<int> conn_fds_;  ///< accepted connections (readers_mu_)
+  /// Open connections (fd -> its reader thread), guarded by readers_mu_.
+  std::map<int, std::thread> readers_;
   /// Sessions opened per connection, so EOF disconnects them (handler
   /// thread only).
   std::map<int, std::vector<std::uint64_t>> connection_sessions_;

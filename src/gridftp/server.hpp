@@ -93,6 +93,13 @@ class Server {
   /// Number of concurrent transfers currently registered.
   std::size_t concurrency() const { return transfers_.size(); }
 
+  /// Call `fn(transfer_id)` for every registration, ascending id. `fn`
+  /// must not register or deregister transfers here.
+  template <typename Fn>
+  void for_each_transfer(Fn&& fn) const {
+    for (const auto& [id, reg] : transfers_) fn(id);
+  }
+
   /// Cluster-wide NIC ceiling: pool_size * nic_rate.
   BitsPerSecond cluster_nic_rate() const;
 

@@ -53,7 +53,7 @@ TransferEngine::TransferEngine(net::Network& network, UsageStatsCollector& colle
 void TransferEngine::attach_listener(Server* server) {
   if (listened_.contains(server)) return;
   listened_.insert(server);
-  server->set_change_listener([this] { refresh_caps(); });
+  server->set_change_listener([this, server] { refresh_caps(*server); });
 }
 
 void TransferEngine::register_endpoints(Active& t) {
@@ -483,22 +483,20 @@ void TransferEngine::set_guarantee(std::uint64_t transfer_id, BitsPerSecond guar
   }
 }
 
-void TransferEngine::refresh_caps() {
-  // Server callbacks fire inside add/remove_transfer, including from our
-  // own submit/finish paths; the guard prevents re-entrant refresh storms.
-  if (refreshing_) return;
-  refreshing_ = true;
-  // A registration change moves every transfer's share; the network
+void TransferEngine::refresh_caps(const Server& server) {
+  // A registration change moves the shares of the transfers registered at
+  // this server only; a transfer elsewhere keeps its cap. The network
   // defers its recompute to the end of the dispatch batch, so pushing the
   // caps one by one still costs a single allocator pass.
-  for (auto& [id, t] : transfers_) {
-    if (t.flows.empty()) continue;
+  server.for_each_transfer([this](std::uint64_t id) {
+    const auto it = transfers_.find(id);
+    if (it == transfers_.end() || it->second.flows.empty()) return;
+    const Active& t = it->second;
     const BitsPerSecond cap = transfer_cap(t);
     for (net::FlowId fid : t.flows) {
       network_.update_cap(fid, cap / static_cast<double>(t.flows.size()));
     }
-  }
-  refreshing_ = false;
+  });
 }
 
 }  // namespace gridvc::gridftp

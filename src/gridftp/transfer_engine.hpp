@@ -193,8 +193,9 @@ class TransferEngine {
   void fail_permanently(std::uint64_t id);
   /// Aggregate demand cap of a transfer right now.
   BitsPerSecond transfer_cap(const Active& t) const;
-  /// Push refreshed caps into the network for every in-flight transfer.
-  void refresh_caps();
+  /// Push refreshed caps into the network for the in-flight transfers
+  /// registered at `server`, the one whose registrations just changed.
+  void refresh_caps(const Server& server);
 
   net::Network& network_;
   UsageStatsCollector& collector_;
@@ -207,7 +208,6 @@ class TransferEngine {
   std::set<std::uint64_t> waiting_;
   std::set<Server*> listened_;
   std::uint64_t next_id_ = 1;
-  bool refreshing_ = false;
   Stats stats_;
   obs::MetricId id_submitted_;
   obs::MetricId id_completed_;

@@ -58,6 +58,7 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   ws.path_off.resize(nflows + 1);
   ws.cap_limit.resize(nflows);
   std::size_t total_links = 0;
+  bool any_guarantee = false;
   for (std::size_t i = 0; i < nflows; ++i) {
     const FlowDemandRef& f = flows[i];
     GRIDVC_REQUIRE(f.path != nullptr && !f.path->empty(), "flow with empty path");
@@ -65,6 +66,7 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
     ws.path_off[i] = static_cast<std::uint32_t>(total_links);
     total_links += f.path->size();
     ws.cap_limit[i] = f.cap > 0.0 ? f.cap : kInf;
+    any_guarantee = any_guarantee || f.guarantee > 0.0;
   }
   ws.path_off[nflows] = static_cast<std::uint32_t>(total_links);
   ws.path_lnk.resize(total_links);
@@ -91,35 +93,39 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
 
   // Phase 1: rate guarantees. If a link is oversubscribed by guarantees
   // (should not happen under VC admission control) scale each crossing
-  // flow's guarantee by the worst per-link factor on its path.
-  ws.guarantee_load.assign(nused, 0.0);
-  for (std::size_t i = 0; i < nflows; ++i) {
-    const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
-    if (g <= 0.0) continue;
-    for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
-      ws.guarantee_load[ws.path_lnk[k]] += g;
+  // flow's guarantee by the worst per-link factor on its path. Without
+  // any guarantee every rate stays 0 and every residual untouched, so the
+  // phase is skipped.
+  if (any_guarantee) {
+    ws.guarantee_load.assign(nused, 0.0);
+    for (std::size_t i = 0; i < nflows; ++i) {
+      const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
+      if (g <= 0.0) continue;
+      for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
+        ws.guarantee_load[ws.path_lnk[k]] += g;
+      }
     }
-  }
-  ws.link_scale.assign(nused, 1.0);
-  for (std::size_t j = 0; j < nused; ++j) {
-    if (ws.guarantee_load[j] > ws.residual[j]) {
-      ws.link_scale[j] = ws.residual[j] / ws.guarantee_load[j];
+    ws.link_scale.assign(nused, 1.0);
+    for (std::size_t j = 0; j < nused; ++j) {
+      if (ws.guarantee_load[j] > ws.residual[j]) {
+        ws.link_scale[j] = ws.residual[j] / ws.guarantee_load[j];
+      }
     }
-  }
-  for (std::size_t i = 0; i < nflows; ++i) {
-    const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
-    if (g <= 0.0) continue;
-    double scale = 1.0;
-    for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
-      scale = std::min(scale, ws.link_scale[ws.path_lnk[k]]);
+    for (std::size_t i = 0; i < nflows; ++i) {
+      const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
+      if (g <= 0.0) continue;
+      double scale = 1.0;
+      for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
+        scale = std::min(scale, ws.link_scale[ws.path_lnk[k]]);
+      }
+      ws.rates[i] = g * scale;
     }
-    ws.rates[i] = g * scale;
-  }
-  for (std::size_t i = 0; i < nflows; ++i) {
-    if (ws.rates[i] <= 0.0) continue;
-    for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
-      const std::uint32_t l = ws.path_lnk[k];
-      ws.residual[l] = std::max(0.0, ws.residual[l] - ws.rates[i]);
+    for (std::size_t i = 0; i < nflows; ++i) {
+      if (ws.rates[i] <= 0.0) continue;
+      for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
+        const std::uint32_t l = ws.path_lnk[k];
+        ws.residual[l] = std::max(0.0, ws.residual[l] - ws.rates[i]);
+      }
     }
   }
 
@@ -130,12 +136,10 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   // as flows freeze. The freeze pass compacts the dense list in place,
   // preserving index order so the arithmetic sequence is identical to
   // the scalar formulation.
-  ws.active.assign(nflows, 0);
   ws.active_on_link.assign(nused, 0);
   ws.active_idx.clear();
   for (std::size_t i = 0; i < nflows; ++i) {
     if (ws.rates[i] >= ws.cap_limit[i] - kEps) continue;  // inf cap never trips
-    ws.active[i] = 1;
     ws.active_idx.push_back(static_cast<std::uint32_t>(i));
     for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
       ++ws.active_on_link[ws.path_lnk[k]];
@@ -181,7 +185,6 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
         }
       }
       if (saturated) {
-        ws.active[i] = 0;
         for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
           --ws.active_on_link[ws.path_lnk[k]];
         }

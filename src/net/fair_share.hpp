@@ -78,7 +78,6 @@ struct AllocWorkspace {
   std::vector<double> guarantee_load;  // per used link: sum of guarantees
   std::vector<double> link_scale;      // per used link: oversubscription scale
   std::vector<double> cap_limit;       // per flow: cap, +inf when unbounded
-  std::vector<char> active;            // per flow: still filling
   std::vector<std::uint32_t> active_on_link;  // per used link: unfrozen crossers
   std::vector<std::uint32_t> active_idx;      // dense index of active flows
   std::vector<std::uint32_t> path_off;        // CSR offsets, nflows + 1

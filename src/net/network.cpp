@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "obs/profiler.hpp"
@@ -22,6 +23,15 @@ constexpr double kRateEps = 1e-9;
 bool rate_changed(BitsPerSecond old_rate, BitsPerSecond new_rate) {
   const double scale = std::max({1.0, std::abs(old_rate), std::abs(new_rate)});
   return std::abs(old_rate - new_rate) > kRateEps * scale;
+}
+
+// The live flow `id` in an id-ordered flow table, or null (unknown or
+// retired). Binary search; const-ness follows the table's.
+template <typename Flows>
+auto find_live(Flows& flows, FlowId id) -> decltype(&flows.front()) {
+  const auto it = std::lower_bound(flows.begin(), flows.end(), id,
+                                   [](const auto& f, FlowId key) { return f.id < key; });
+  return it != flows.end() && it->id == id && !it->retired ? &*it : nullptr;
 }
 }  // namespace
 
@@ -96,39 +106,48 @@ FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
   f.start_time = sim_.now();
   f.last_update = sim_.now();
   f.on_complete = std::move(on_complete);
-  flows_.emplace(id, std::move(f));
+  flows_.push_back(std::move(f));
+  ++live_flows_;
   sim_.obs().registry().add(id_flows_started_);
-  sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
+  sim_.obs().registry().set(id_active_flows_, static_cast<double>(live_flows_));
   mark_dirty();
   return id;
 }
 
+Network::ActiveFlow& Network::live_flow(FlowId id, const char* what) {
+  ActiveFlow* f = find_live(flows_, id);
+  GRIDVC_REQUIRE(f != nullptr, std::string(what) + " on unknown flow");
+  return *f;
+}
+
+void Network::retire(ActiveFlow& f) {
+  f.completion.cancel();
+  f.retired = true;
+  --live_flows_;
+  sim_.obs().registry().set(id_active_flows_, static_cast<double>(live_flows_));
+  mark_dirty();
+}
+
 void Network::update_cap(FlowId id, BitsPerSecond cap) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "update_cap on unknown flow");
-  if (it->second.cap == cap) return;
-  it->second.cap = cap;
+  ActiveFlow& f = live_flow(id, "update_cap");
+  if (f.cap == cap) return;
+  f.cap = cap;
   mark_dirty();
 }
 
 void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "update_guarantee on unknown flow");
+  ActiveFlow& f = live_flow(id, "update_guarantee");
   GRIDVC_REQUIRE(guarantee >= 0.0, "negative guarantee");
-  if (it->second.guarantee == guarantee) return;
-  it->second.guarantee = guarantee;
+  if (f.guarantee == guarantee) return;
+  f.guarantee = guarantee;
   mark_dirty();
 }
 
 void Network::abort_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "abort_flow on unknown flow");
-  settle_flow(it->second, sim_.now());
-  it->second.completion.cancel();
-  flows_.erase(it);
+  ActiveFlow& f = live_flow(id, "abort_flow");
+  settle_flow(f, sim_.now());
   sim_.obs().registry().add(id_flows_aborted_);
-  sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  mark_dirty();
+  retire(f);
 }
 
 bool Network::link_up(LinkId id) const {
@@ -151,18 +170,14 @@ void Network::set_link_state(LinkId id, bool up) {
     // run once the flow set is consistent again (survivors re-allocate
     // around the dead link at the batch's recompute).
     std::vector<std::pair<FlowRecord, CompletionFn>> failed;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-      ActiveFlow& f = it->second;
-      const bool crosses =
-          std::find(f.path.begin(), f.path.end(), id) != f.path.end();
-      if (!f.fail_on_link_down || !crosses) {
-        ++it;
+    for (ActiveFlow& f : flows_) {
+      if (f.retired || !f.fail_on_link_down ||
+          std::find(f.path.begin(), f.path.end(), id) == f.path.end()) {
         continue;
       }
       settle_flow(f, now);
-      f.completion.cancel();
       FlowRecord record;
-      record.id = it->first;
+      record.id = f.id;
       record.size = f.size;
       record.delivered = static_cast<Bytes>(
           std::max(0.0, static_cast<double>(f.size) - f.bytes_remaining));
@@ -170,12 +185,9 @@ void Network::set_link_state(LinkId id, bool up) {
       record.end_time = now;
       record.outcome = FlowOutcome::kFailed;
       failed.emplace_back(std::move(record), std::move(f.on_complete));
-      it = flows_.erase(it);
+      retire(f);
     }
-    if (!failed.empty()) {
-      reg.add(id_flows_failed_, static_cast<double>(failed.size()));
-      reg.set(id_active_flows_, static_cast<double>(flows_.size()));
-    }
+    if (!failed.empty()) reg.add(id_flows_failed_, static_cast<double>(failed.size()));
     sim_.obs().emit({now, obs::TraceEventType::kLinkDown, id,
                      static_cast<std::uint64_t>(failed.size()), 0.0, 0.0});
     mark_dirty();
@@ -193,41 +205,40 @@ void Network::set_link_state(LinkId id, bool up) {
 }
 
 BitsPerSecond Network::current_rate(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "current_rate on unknown flow");
+  live_flow(id, "current_rate");
   if (dirty_) {
     sim_.cancel_deferred(*this);
-    flush();
+    flush();  // compacts flows_: look the flow up again below
   }
-  return it->second.rate;
+  return live_flow(id, "current_rate").rate;
 }
 
 Bytes Network::remaining_bytes(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "remaining_bytes on unknown flow");
-  settle_flow(it->second, sim_.now());
-  return static_cast<Bytes>(std::max(0.0, it->second.bytes_remaining));
+  ActiveFlow& f = live_flow(id, "remaining_bytes");
+  settle_flow(f, sim_.now());
+  return static_cast<Bytes>(std::max(0.0, f.bytes_remaining));
 }
 
 Bytes Network::sent_bytes(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "sent_bytes on unknown flow");
-  settle_flow(it->second, sim_.now());
-  const double sent = static_cast<double>(it->second.size) - it->second.bytes_remaining;
+  ActiveFlow& f = live_flow(id, "sent_bytes");
+  settle_flow(f, sim_.now());
+  const double sent = static_cast<double>(f.size) - f.bytes_remaining;
   return static_cast<Bytes>(std::max(0.0, sent));
 }
 
 std::vector<FlowId> Network::active_flows() const {
   std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) ids.push_back(id);
+  ids.reserve(live_flows_);
+  for (const ActiveFlow& f : flows_) {
+    if (!f.retired) ids.push_back(f.id);
+  }
   return ids;
 }
 
 Bytes Network::flow_size(FlowId id) const {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "flow_size on unknown flow");
-  return it->second.size;
+  const ActiveFlow* f = find_live(flows_, id);
+  GRIDVC_REQUIRE(f != nullptr, "flow_size on unknown flow");
+  return f->size;
 }
 
 double Network::link_bytes(LinkId id) {
@@ -248,26 +259,24 @@ void Network::settle_flow(ActiveFlow& f, Seconds now) {
 
 void Network::settle() {
   const Seconds now = sim_.now();
-  for (auto& [id, f] : flows_) settle_flow(f, now);
+  for (ActiveFlow& f : flows_) {
+    if (!f.retired) settle_flow(f, now);
+  }
 }
 
 void Network::recompute() {
   GRIDVC_PROF_ZONE("net.recompute");
   const Seconds now = sim_.now();
 
-  // Borrow each flow's path rather than copying it: the flow records
-  // outlive the allocator call (std::map nodes are address-stable), and
-  // the reused scratch vectors make the whole pass allocation-free at
-  // steady state.
+  // Drop the tombstones, then borrow each flow's path rather than copying
+  // it: flows_ does not move during the allocator call, and the reused
+  // scratch vectors make the whole pass allocation-free at steady state.
+  std::erase_if(flows_, [](const ActiveFlow& f) { return f.retired; });
   std::vector<FlowDemandRef>& demands = demand_scratch_;
-  std::vector<ActiveFlow*>& order = order_scratch_;
   demands.clear();
-  order.clear();
   demands.reserve(flows_.size());
-  order.reserve(flows_.size());
-  for (auto& [id, f] : flows_) {
+  for (const ActiveFlow& f : flows_) {
     demands.push_back(FlowDemandRef{&f.path, f.cap, f.guarantee});
-    order.push_back(&f);
   }
   const std::vector<BitsPerSecond>& rates =
       max_min_allocate(topo_, demands, link_up_, alloc_ws_);
@@ -276,8 +285,8 @@ void Network::recompute() {
   reg.add(id_recomputes_);
   std::uint64_t changed = 0;
 
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ActiveFlow& f = *order[i];
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    ActiveFlow& f = flows_[i];
     const BitsPerSecond new_rate = rates[i];
     const bool this_changed = rate_changed(f.rate, new_rate);
     if (this_changed) ++changed;
@@ -308,8 +317,8 @@ void Network::recompute() {
   // full utilization trajectory. Only links on some flow's path can carry
   // traffic; they are visited in ascending id, the order every sample has
   // always been taken in.
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (LinkId l : order[i]->path) link_rate_scratch_[l] += rates[i];
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    for (LinkId l : flows_[i].path) link_rate_scratch_[l] += rates[i];
   }
   std::vector<LinkId>& used = used_link_scratch_;
   used.assign(alloc_ws_.used_links.begin(), alloc_ws_.used_links.end());
@@ -331,9 +340,9 @@ void Network::recompute() {
 }
 
 void Network::complete_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // aborted concurrently
-  ActiveFlow& f = it->second;
+  ActiveFlow* found = find_live(flows_, id);
+  if (found == nullptr) return;  // aborted concurrently
+  ActiveFlow& f = *found;
   const Seconds now = sim_.now();
   settle_flow(f, now);
   if (f.bytes_remaining > kByteEps && f.rate > 0.0) {
@@ -359,10 +368,8 @@ void Network::complete_flow(FlowId id) {
   record.start_time = f.start_time;
   record.end_time = now;
   CompletionFn callback = std::move(f.on_complete);
-  flows_.erase(it);
   sim_.obs().registry().add(id_flows_completed_);
-  sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  mark_dirty();
+  retire(f);
   if (callback) callback(record);
 }
 

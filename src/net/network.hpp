@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -129,7 +128,7 @@ class Network final : private sim::Deferred {
   /// Total size of an active flow.
   Bytes flow_size(FlowId id) const;
 
-  std::size_t active_flow_count() const { return flows_.size(); }
+  std::size_t active_flow_count() const { return live_flows_; }
 
   /// Cumulative bytes carried by a directed link, settled to now().
   /// The SNMP collector samples this.
@@ -150,10 +149,16 @@ class Network final : private sim::Deferred {
     Seconds start_time = 0.0;
     Seconds last_update = 0.0;  ///< bytes_remaining is settled to this time
     bool fail_on_link_down = false;
+    bool retired = false;  ///< tombstone: gone, compacted by the next recompute
     CompletionFn on_complete;
     sim::EventHandle completion;
   };
 
+  // The live flow `id`; throws PreconditionError naming `what` if it is
+  // unknown or retired.
+  ActiveFlow& live_flow(FlowId id, const char* what);
+  // Turn `f` into a tombstone and mark the network dirty.
+  void retire(ActiveFlow& f);
   // Advance one flow's byte progress (and its links' counters) to `now`.
   // Flows settle lazily at their own pace: progress is linear while the
   // rate holds, so only rate changes and reads force a settle.
@@ -168,8 +173,12 @@ class Network final : private sim::Deferred {
 
   sim::Simulator& sim_;
   Topology topo_;
-  // std::map keeps iteration in FlowId order -> deterministic allocation.
-  std::map<FlowId, ActiveFlow> flows_;
+  // Flat flow table in ascending FlowId order (ids are issued ascending,
+  // so start_flow appends), which keeps allocation deterministic. Removed
+  // flows stay as tombstones until the top of the next recompute, so an
+  // ActiveFlow* or reference never survives a flush or a start_flow.
+  std::vector<ActiveFlow> flows_;
+  std::size_t live_flows_ = 0;
   std::vector<double> link_bytes_;
   std::vector<double> link_rate_scratch_;  ///< reused per recompute
   // Reused allocator inputs/scratch: recompute() performs zero heap
@@ -177,7 +186,6 @@ class Network final : private sim::Deferred {
   // counts.
   AllocWorkspace alloc_ws_;
   std::vector<FlowDemandRef> demand_scratch_;
-  std::vector<ActiveFlow*> order_scratch_;  ///< flows_ in id order
   std::vector<LinkId> used_link_scratch_;   ///< used links, ascending id
   bool dirty_ = false;
   std::vector<char> link_up_;              ///< per-link up/down state

@@ -19,10 +19,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
-#include "net/topology.hpp"
+#include "shard/partition.hpp"
 
 namespace gridvc::shard {
 
@@ -46,7 +45,7 @@ struct ShardMessage {
   Bytes bytes = 0;
   BitsPerSecond rate = 0.0;    ///< requested chain guarantee (kVcBook)
   Seconds window = 0.0;        ///< requested circuit hold (kVcBook)
-  net::Path path;              ///< the transfer's global path
+  RouteRef route;              ///< the transfer's path and legs (not hashed)
 };
 
 /// The deterministic delivery order.

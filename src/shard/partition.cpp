@@ -57,6 +57,7 @@ DomainPartition::DomainPartition(const net::Topology& global) : global_(&global)
     const net::Node& node = global.node(id);
     const net::NodeId local = d.topo.add_node(node.name, node.kind, node.domain);
     d.local_node.emplace(id, local);
+    d.global_node.push_back(id);
     if (node.kind == net::NodeKind::kHost) d.global_hosts.push_back(id);
   }
 
@@ -156,6 +157,11 @@ std::vector<DomainPartition::Leg> DomainPartition::cut_path(const net::Path& pat
                           : domains_[current.domain].topo.link(current.local_path.back()).to;
   legs.push_back(std::move(current));
   return legs;
+}
+
+std::shared_ptr<const DomainPartition::Route> DomainPartition::route(net::Path path) const {
+  auto legs = cut_path(path);
+  return std::make_shared<const Route>(Route{std::move(path), std::move(legs)});
 }
 
 }  // namespace gridvc::shard

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,9 @@ class DomainPartition {
     std::unordered_map<net::NodeId, net::NodeId> local_node;
     /// global link id -> local link id, for intra-domain links.
     std::unordered_map<net::LinkId, net::LinkId> local_link;
+    /// local node id -> global node id, for owned nodes (they take local
+    /// ids 0..n-1; gateway proxies come after and are not listed).
+    std::vector<net::NodeId> global_node;
     std::vector<net::NodeId> global_hosts;  ///< hosts owned, ascending
   };
 
@@ -70,6 +74,14 @@ class DomainPartition {
     net::NodeId local_src = 0;
     net::NodeId local_dst = 0;
     std::uint32_t exit_gateway = kNoGateway;  ///< crossed after this leg
+    bool operator==(const Leg&) const = default;
+  };
+
+  /// A global path with its legs, cut once. Immutable, so every world and
+  /// message that carries a transfer can share one copy across lanes.
+  struct Route {
+    net::Path path;
+    std::vector<Leg> legs;
   };
 
   /// Partition `global`. Domains are the distinct router tags in
@@ -96,6 +108,9 @@ class DomainPartition {
   /// gateway (by construction of the partition, all of them are).
   std::vector<Leg> cut_path(const net::Path& path) const;
 
+  /// Cut `path` into a shared Route.
+  std::shared_ptr<const Route> route(net::Path path) const;
+
  private:
   const net::Topology* global_;
   std::vector<Domain> domains_;
@@ -105,5 +120,7 @@ class DomainPartition {
   std::unordered_map<net::LinkId, std::uint32_t> gateway_by_link_;
   Seconds lookahead_ = 0.0;
 };
+
+using RouteRef = std::shared_ptr<const DomainPartition::Route>;
 
 }  // namespace gridvc::shard

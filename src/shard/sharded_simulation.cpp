@@ -48,7 +48,7 @@ struct ShardedSimulation::DomainWorld {
     int active = 0;
   };
   struct SegmentWork {
-    net::Path path;  ///< global path (every world re-cuts it locally)
+    RouteRef route;
     Bytes bytes = 0;
   };
   struct ChainSegment {
@@ -62,7 +62,7 @@ struct ShardedSimulation::DomainWorld {
     std::uint32_t file = 0;
     std::uint32_t host = 0;  ///< index into hosts
     Bytes bytes = 0;
-    net::Path path;
+    RouteRef route;
   };
 
   ShardedSimulation& owner;
@@ -196,20 +196,20 @@ struct ShardedSimulation::DomainWorld {
     GRIDVC_PROF_ZONE("shard.start_file");
     const auto& scenario = owner.scenario_;
     const auto params = scenario.transfer_params(user, file);
-    net::Path path = scenario.route(user, params);
+    RouteRef route = owner.partition_.route(scenario.route(user, params));
     const std::uint64_t tid = make_transfer_id();
     ++transfers_started;
     bytes_planned += params.size;
-    inflight.emplace(tid, OriginFlight{user, file, hi, params.size, path});
+    inflight.emplace(tid, OriginFlight{user, file, hi, params.size, route});
 
-    const auto legs = owner.partition_.cut_path(path);
+    const auto& legs = route->legs;
     if (params.wants_vc) {
       ++chains_requested;
       if (book_segment(tid, 0, legs[0], scenario.config.chain_rate,
                        scenario.config.chain_window)) {
         if (legs.size() == 1) {
           ++chains_granted;
-          start_leg(tid, 0, path, params.size);
+          start_leg(tid, 0, route, params.size);
         } else {
           // Forward the booking down the chain; data waits for the Ok.
           ShardMessage m;
@@ -219,14 +219,14 @@ struct ShardedSimulation::DomainWorld {
           m.bytes = params.size;
           m.rate = scenario.config.chain_rate;
           m.window = scenario.config.chain_window;
-          m.path = std::move(path);
-          send_forward(m, legs[0]);
+          m.route = route;
+          send_forward(std::move(m), legs[0]);
         }
         return;
       }
       ++chains_rejected;  // local admission failed: degrade to best effort
     }
-    start_leg(tid, 0, path, params.size);
+    start_leg(tid, 0, route, params.size);
   }
 
   bool book_segment(std::uint64_t tid, std::uint32_t leg,
@@ -268,12 +268,11 @@ struct ShardedSimulation::DomainWorld {
     return it != chains.end() && !it->second.released ? it->second.rate : 0.0;
   }
 
-  void start_leg(std::uint64_t tid, std::uint32_t leg_index, const net::Path& path,
+  void start_leg(std::uint64_t tid, std::uint32_t leg_index, const RouteRef& route,
                  Bytes bytes) {
     GRIDVC_PROF_ZONE("shard.start_leg");
-    const auto legs = owner.partition_.cut_path(path);
-    const auto& leg = legs[leg_index];
-    segments.emplace(SegKey{tid, leg_index}, SegmentWork{path, bytes});
+    const auto& leg = route->legs[leg_index];
+    segments.emplace(SegKey{tid, leg_index}, SegmentWork{route, bytes});
     if (leg.local_path.empty()) {
       // The path ends exactly on this domain's entry node: nothing to move.
       segment_done(tid, leg_index);
@@ -306,14 +305,10 @@ struct ShardedSimulation::DomainWorld {
     });
   }
 
-  /// Local node id -> global node id (hosts only; relies on the partition
-  /// numbering nodes in ascending global order, which makes the local
-  /// map invertible through the domain's host list).
+  /// Local node id -> global node id (owned nodes only, not proxies).
   net::NodeId global_of_local(net::NodeId local) const {
-    const net::Node& node = dom.topo.node(local);
-    const auto global = owner.partition_.global().find_node(node.name);
-    GRIDVC_REQUIRE(global.has_value(), "local node missing from global topology");
-    return *global;
+    GRIDVC_REQUIRE(local < dom.global_node.size(), "local node is a gateway proxy");
+    return dom.global_node[local];
   }
 
   void segment_done(std::uint64_t tid, std::uint32_t leg_index) {
@@ -324,7 +319,7 @@ struct ShardedSimulation::DomainWorld {
     segments.erase(it);
     ++segments_completed;
 
-    const auto legs = owner.partition_.cut_path(work.path);
+    const auto& legs = work.route->legs;
     const auto& leg = legs[leg_index];
     if (leg.exit_gateway != DomainPartition::kNoGateway) {
       ShardMessage m;
@@ -332,8 +327,8 @@ struct ShardedSimulation::DomainWorld {
       m.transfer = tid;
       m.leg = leg_index + 1;
       m.bytes = work.bytes;
-      m.path = std::move(work.path);
-      send_forward(m, leg);
+      m.route = std::move(work.route);
+      send_forward(std::move(m), leg);
       return;
     }
     // Final leg: the file has fully arrived.
@@ -349,8 +344,8 @@ struct ShardedSimulation::DomainWorld {
     m.transfer = tid;
     m.leg = leg_index - 1;
     m.bytes = work.bytes;
-    m.path = std::move(work.path);
-    send_backward(m, legs, leg_index);
+    m.route = work.route;
+    send_backward(std::move(m), legs, leg_index);
   }
 
   void complete_origin(std::uint64_t tid) {
@@ -405,10 +400,10 @@ struct ShardedSimulation::DomainWorld {
     GRIDVC_PROF_ZONE("shard.handle_message");
     switch (m.kind) {
       case MessageKind::kSegmentHandoff:
-        start_leg(m.transfer, m.leg, m.path, m.bytes);
+        start_leg(m.transfer, m.leg, m.route, m.bytes);
         return;
       case MessageKind::kVcBook: {
-        const auto legs = owner.partition_.cut_path(m.path);
+        const auto& legs = m.route->legs;
         if (book_segment(m.transfer, m.leg, legs[m.leg], m.rate, m.window)) {
           if (legs[m.leg].exit_gateway == DomainPartition::kNoGateway) {
             ShardMessage ok;
@@ -416,12 +411,12 @@ struct ShardedSimulation::DomainWorld {
             ok.transfer = m.transfer;
             ok.leg = m.leg - 1;
             ok.bytes = m.bytes;
-            ok.path = m.path;
-            send_backward(ok, legs, m.leg);
+            ok.route = m.route;
+            send_backward(std::move(ok), legs, m.leg);
           } else {
             ShardMessage fwd = m;
             fwd.leg = m.leg + 1;
-            send_forward(fwd, legs[m.leg]);
+            send_forward(std::move(fwd), legs[m.leg]);
           }
         } else {
           ShardMessage reject;
@@ -429,38 +424,38 @@ struct ShardedSimulation::DomainWorld {
           reject.transfer = m.transfer;
           reject.leg = m.leg - 1;
           reject.bytes = m.bytes;
-          reject.path = m.path;
-          send_backward(reject, legs, m.leg);
+          reject.route = m.route;
+          send_backward(std::move(reject), legs, m.leg);
         }
         return;
       }
       case MessageKind::kVcBookOk: {
         if (m.leg > 0) {
-          const auto legs = owner.partition_.cut_path(m.path);
+          const auto& legs = m.route->legs;
           ShardMessage fwd = m;
           fwd.leg = m.leg - 1;
-          send_backward(fwd, legs, m.leg);
+          send_backward(std::move(fwd), legs, m.leg);
           return;
         }
         ++chains_granted;
         const auto fl = inflight.find(m.transfer);
         GRIDVC_REQUIRE(fl != inflight.end(), "chain grant for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.path, fl->second.bytes);
+        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
         return;
       }
       case MessageKind::kVcBookReject: {
         release_chain(m.transfer, m.leg);
         if (m.leg > 0) {
-          const auto legs = owner.partition_.cut_path(m.path);
+          const auto& legs = m.route->legs;
           ShardMessage fwd = m;
           fwd.leg = m.leg - 1;
-          send_backward(fwd, legs, m.leg);
+          send_backward(std::move(fwd), legs, m.leg);
           return;
         }
         ++chains_rejected;
         const auto fl = inflight.find(m.transfer);
         GRIDVC_REQUIRE(fl != inflight.end(), "chain reject for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.path, fl->second.bytes);
+        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
         return;
       }
       case MessageKind::kCompletionRelay: {
@@ -469,10 +464,10 @@ struct ShardedSimulation::DomainWorld {
           complete_origin(m.transfer);
           return;
         }
-        const auto legs = owner.partition_.cut_path(m.path);
+        const auto& legs = m.route->legs;
         ShardMessage fwd = m;
         fwd.leg = m.leg - 1;
-        send_backward(fwd, legs, m.leg);
+        send_backward(std::move(fwd), legs, m.leg);
         return;
       }
     }
@@ -529,23 +524,26 @@ void ShardedSimulation::run() {
   const Seconds lookahead = partition_.lookahead();
   for (;;) {
     exchange();
-    Seconds t_star = std::numeric_limits<Seconds>::infinity();
+    constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+    Seconds t_star = kNever;
+    next_times_.clear();
     for (auto& w : worlds_) {
-      if (const auto nt = w->sim.next_event_time()) t_star = std::min(t_star, *nt);
+      const Seconds nt = w->sim.next_event_time().value_or(kNever);
+      next_times_.push_back(nt);
+      t_star = std::min(t_star, nt);
     }
-    if (t_star == std::numeric_limits<Seconds>::infinity()) break;
+    if (t_star == kNever) break;
     const Seconds horizon = t_star + lookahead;
     ++stats_.barriers;
     stats_.world_epoch_slots += worlds_.size();
 
     std::uint64_t sessions = 0;
     active_.clear();
-    for (auto& w : worlds_) {
-      sessions += w->open_sessions;
-      const auto nt = w->sim.next_event_time();
-      if (!nt) continue;
-      if (*nt <= horizon) {
-        active_.push_back(w.get());
+    for (std::size_t i = 0; i < worlds_.size(); ++i) {
+      sessions += worlds_[i]->open_sessions;
+      if (next_times_[i] == kNever) continue;
+      if (next_times_[i] <= horizon) {
+        active_.push_back(worlds_[i].get());
       } else {
         ++stats_.stalled_world_epochs;
       }

@@ -118,6 +118,7 @@ class ShardedSimulation {
   exec::ThreadPool pool_;
   std::vector<std::unique_ptr<DomainWorld>> worlds_;
   std::vector<DomainWorld*> active_;      ///< scratch: worlds due this epoch
+  std::vector<Seconds> next_times_;       ///< scratch: per-world next event
   std::vector<ShardMessage> pending_;     ///< scratch: barrier exchange buffer
   ShardStats stats_;
   std::vector<std::string> violations_;

@@ -1,7 +1,13 @@
 #include "frontend/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <cstddef>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -172,6 +178,74 @@ TEST(RequestRing, BlocksProducerWhenFullAndDrainsFifo) {
   EXPECT_EQ(item.line, "c");
   EXPECT_FALSE(ring.pop(item, 0));
   EXPECT_EQ(ring.depth(), 0u);
+}
+
+/// Connect to an abstract-namespace unix socket ('@name'); -1 on failure.
+int connect_abstract(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path + 1, path.data() + 1, path.size() - 1);
+  const auto len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size());
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// This process's virtual size in kB, from /proc/self/status.
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  long value = 0;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      status >> value;
+      return value;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return -1;
+}
+
+TEST(Daemon, ClosedConnectionsLeaveNoReaderThreadsBehind) {
+  // Each connection has a reader thread. One that is never joined keeps
+  // its stack mapped (8 MiB of address space by default), so without the
+  // join at EOF, 200 connect/ping/close cycles grow VmSize by ~1.6 GB.
+  WireFixture f;
+  TestWallClock clock;
+  DaemonConfig config;
+  config.socket_path = "@gridvc-test-daemon-" + std::to_string(::getpid());
+  config.transfer_template = f.ctx->transfer_template;
+  Daemon daemon(f.sim, *f.front, clock, config);
+  std::thread server([&] { daemon.run(); });
+
+  const auto cycle = [&] {
+    int fd = -1;
+    for (int i = 0; i < 200 && fd < 0; ++i) {
+      fd = connect_abstract(config.socket_path);
+      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(fd, 0);
+    const std::string ping = "{\"op\":\"ping\"}\n";
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    char reply[256];
+    ASSERT_GT(::read(fd, reply, sizeof(reply)), 0);  // served: its reader ran
+    ::close(fd);
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // warm up allocator and stack caches
+  const long before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i) cycle();
+  const long after = vm_size_kb();
+  daemon.request_shutdown();
+  server.join();
+  EXPECT_LT(after - before, 256L * 1024) << "VmSize grew from " << before << " kB to "
+                                         << after << " kB";
 }
 
 TEST(WallClock, TestClockJumpsForwardOnly) {

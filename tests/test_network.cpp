@@ -263,6 +263,53 @@ TEST(Network, CurrentRateFlushesPendingRecompute) {
   EXPECT_EQ(recomputes(f.sim), 1u);
 }
 
+// The flow table is a flat id-ordered vector whose removed entries stay
+// as tombstones until the next recompute compacts them. Mix every kind of
+// removal into one batch, start a flow in the middle of it (the append may
+// move the table), and check lookups before and after the compaction.
+TEST(Network, FlatFlowTableSurvivesMixedBatchAndCompaction) {
+  Fixture f;
+  std::vector<FlowId> completed;
+  FlowId first = 0, twin = 0, doomed = 0, stayer = 0, late = 0;
+  std::vector<FlowId> seen_in_batch;
+  const auto on_done = [&](const FlowRecord& r) {
+    completed.push_back(r.id);
+    if (r.id != first) return;
+    // Same timestamp as `twin`'s completion: one batch.
+    late = f.net->start_flow({f.ab, f.bc}, 100'000'000, {}, nullptr);
+    f.net->abort_flow(doomed);
+    EXPECT_THROW(f.net->update_cap(doomed, mbps(1)), PreconditionError);
+    EXPECT_THROW(f.net->flow_size(first), PreconditionError);
+    seen_in_batch = f.net->active_flows();
+  };
+  first = f.net->start_flow({f.ab}, 1'000'000, {}, on_done);
+  twin = f.net->start_flow({f.ab}, 1'000'000, {}, on_done);
+  doomed = f.net->start_flow({f.ab}, 100'000'000, {}, nullptr);
+  stayer = f.net->start_flow({f.ab, f.bc}, 100'000'000, {}, nullptr);
+  f.sim.run_until(0.5);
+
+  ASSERT_EQ(completed, (std::vector<FlowId>{first, twin}));
+  // Inside the batch `twin` was still live; the tombstones were skipped.
+  EXPECT_EQ(seen_in_batch, (std::vector<FlowId>{twin, stayer, late}));
+  const std::vector<FlowId> ids = f.net->active_flows();
+  EXPECT_EQ(ids, (std::vector<FlowId>{stayer, late}));
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(f.net->active_flow_count(), 2u);
+  // After the compaction: retired ids stay unknown, survivors are exact.
+  for (const FlowId gone : {first, twin, doomed}) {
+    EXPECT_THROW(f.net->update_cap(gone, mbps(1)), PreconditionError);
+    EXPECT_THROW(f.net->flow_size(gone), PreconditionError);
+    EXPECT_THROW(f.net->current_rate(gone), PreconditionError);
+  }
+  EXPECT_DOUBLE_EQ(f.net->current_rate(stayer), mbps(400));
+  EXPECT_DOUBLE_EQ(f.net->current_rate(late), mbps(400));
+  EXPECT_EQ(f.net->flow_size(late), 100'000'000u);
+  // A cap set after compaction lands on the right flow.
+  f.net->update_cap(late, mbps(100));
+  EXPECT_DOUBLE_EQ(f.net->current_rate(late), mbps(100));
+  EXPECT_DOUBLE_EQ(f.net->current_rate(stayer), mbps(700));
+}
+
 // A pending flush is work: the simulator is not idle even before the
 // recompute has scheduled any event, and next_event_time() runs the flush
 // so it can report the completion it schedules.

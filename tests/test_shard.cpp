@@ -155,6 +155,40 @@ TEST(Partition, IntraSitePathIsOneLeg) {
   FAIL() << "no intra-site transfer in the scenario";
 }
 
+TEST(Partition, GlobalNodeInvertsLocalNode) {
+  const auto s = workload::build_federation(small_config(), 42);
+  const shard::DomainPartition part(s.topo);
+  for (std::uint32_t d = 0; d < part.domain_count(); ++d) {
+    const auto& dom = part.domain(d);
+    ASSERT_EQ(dom.global_node.size(), dom.local_node.size());
+    for (const auto& [global, local] : dom.local_node) {
+      EXPECT_EQ(dom.global_node.at(local), global);
+    }
+  }
+}
+
+// Worlds read a transfer's legs from the Route cut once at its origin and
+// carried in every message; each leg must be the one cut_path gives.
+TEST(Partition, RouteCarriesTheCutOfItsPath) {
+  const auto s = workload::build_federation(small_config(), 42);
+  const shard::DomainPartition part(s.topo);
+  std::size_t multi_leg = 0;
+  for (std::uint64_t u = 0; u < s.config.users; ++u) {
+    for (std::uint32_t k = 0; k < s.config.transfers_per_user; ++k) {
+      const auto path = s.route(u, s.transfer_params(u, k));
+      const shard::RouteRef route = part.route(path);
+      EXPECT_EQ(route->path, path);
+      const auto legs = part.cut_path(path);
+      ASSERT_EQ(route->legs.size(), legs.size());
+      for (std::size_t leg = 0; leg < legs.size(); ++leg) {
+        EXPECT_EQ(route->legs[leg], legs[leg]) << "user " << u << " leg " << leg;
+      }
+      if (legs.size() > 1) ++multi_leg;
+    }
+  }
+  EXPECT_GT(multi_leg, 0u);
+}
+
 TEST(ShardedSimulation, CompletesAllTransfersAndConservesBytes) {
   const auto s = workload::build_federation(small_config(), 11);
   shard::ShardedSimulation sharded(s, 2);

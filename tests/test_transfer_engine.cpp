@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gridftp/session.hpp"
 #include "net/network.hpp"
 
@@ -248,6 +249,112 @@ TEST(TransferEngine, OverlappingTransfersChurnStaysLinear) {
   EXPECT_LE(c.scheduled, 4 * n);
   EXPECT_LE(c.cancelled, n);
   EXPECT_EQ(c.live, 0u);
+}
+
+std::uint64_t recomputes(const sim::Simulator& sim) {
+  const obs::MetricsRegistry& reg = sim.obs().registry();
+  return reg.counter_value(reg.find("gridvc_net_recomputes", obs::MetricKind::kCounter));
+}
+
+/// The active flow of `size` bytes (every test transfer below has its own).
+net::FlowId flow_of_size(net::Network& network, Bytes size) {
+  for (const net::FlowId id : network.active_flows()) {
+    if (network.flow_size(id) == size) return id;
+  }
+  ADD_FAILURE() << "no active flow of " << size << " bytes";
+  return 0;
+}
+
+// Four DTNs on disjoint 10 Gbps links, so a flow's rate is exactly its cap:
+// x runs B -> C, y runs A -> D, v runs D -> A. A registration change at A
+// must refresh y and v, and leave x alone.
+struct ScopedRefreshFixture {
+  sim::Simulator sim;
+  net::Topology topo;
+  std::unique_ptr<net::Network> network;
+  std::unique_ptr<Server> a, b, c, d;
+  UsageStatsCollector collector;
+  std::unique_ptr<TransferEngine> engine;
+  static constexpr Bytes kX = 4 * GiB, kY = 5 * GiB, kV = 6 * GiB;
+
+  ScopedRefreshFixture() {
+    const auto na = topo.add_node("a", net::NodeKind::kHost);
+    const auto nb = topo.add_node("b", net::NodeKind::kHost);
+    const auto nc = topo.add_node("c", net::NodeKind::kHost);
+    const auto nd = topo.add_node("d", net::NodeKind::kHost);
+    const net::LinkId bc = topo.add_link(nb, nc, gbps(10), 0.005);
+    const net::LinkId ad = topo.add_link(na, nd, gbps(10), 0.005);
+    const net::LinkId da = topo.add_link(nd, na, gbps(10), 0.005);
+    network = std::make_unique<net::Network>(sim, topo);
+    ServerConfig sc;
+    sc.nic_rate = gbps(4);
+    sc.name = "A";
+    a = std::make_unique<Server>(sc);
+    sc.name = "B";
+    b = std::make_unique<Server>(sc);
+    sc.name = "C";
+    c = std::make_unique<Server>(sc);
+    sc.name = "D";
+    d = std::make_unique<Server>(sc);
+    TransferEngineConfig cfg;
+    cfg.server_noise_sigma = 0.0;
+    cfg.tcp.loss_probability = 0.0;
+    cfg.tcp.stream_buffer = 64 * MiB;
+    engine = std::make_unique<TransferEngine>(*network, collector, cfg, Rng(5));
+    const auto submit = [&](Server* src, Server* dst, net::LinkId link, Bytes size) {
+      TransferSpec s;
+      s.src = {src, IoMode::kMemory};
+      s.dst = {dst, IoMode::kMemory};
+      s.path = {link};
+      s.rtt = 0.01;
+      s.size = size;
+      s.streams = 8;
+      engine->submit(s);
+    };
+    submit(b.get(), c.get(), bc, kX);
+    submit(a.get(), d.get(), ad, kY);
+    submit(d.get(), a.get(), da, kV);
+    sim.run_until(0.5);  // past the slow-start injection: all three flowing
+  }
+};
+
+TEST(TransferEngine, ServerChangeRefreshesOnlyTransfersRegisteredThere) {
+  ScopedRefreshFixture f;
+  net::Network& net = *f.network;
+  const net::FlowId x = flow_of_size(net, f.kX);
+  const net::FlowId y = flow_of_size(net, f.kY);
+  const net::FlowId v = flow_of_size(net, f.kV);
+  // A and D each carry y and v, so each gets half of a 4 Gbps NIC.
+  EXPECT_DOUBLE_EQ(net.current_rate(x), gbps(4));
+  EXPECT_DOUBLE_EQ(net.current_rate(y), gbps(2));
+  EXPECT_DOUBLE_EQ(net.current_rate(v), gbps(2));
+
+  const std::uint64_t before = recomputes(f.sim);
+  f.a->set_nic_rate(gbps(1));  // A's shares drop to 0.5 Gbps each
+  EXPECT_DOUBLE_EQ(net.current_rate(y), gbps(0.5));
+  EXPECT_DOUBLE_EQ(net.current_rate(v), gbps(0.5));
+  EXPECT_DOUBLE_EQ(net.current_rate(x), gbps(4));
+  EXPECT_EQ(recomputes(f.sim), before + 1);  // one pass for the whole change
+
+  // A second host at B notifies, but x already runs at its own NIC's
+  // 4 Gbps: no cap moves, so no recompute runs.
+  f.b->set_pool_size(2);
+  EXPECT_DOUBLE_EQ(net.current_rate(x), gbps(4));
+  EXPECT_EQ(recomputes(f.sim), before + 1);
+}
+
+TEST(TransferEngine, ServerChangePushesNoCapToTransfersElsewhere) {
+  ScopedRefreshFixture f;
+  net::Network& net = *f.network;
+  // Retire x's flow behind the engine's back: any update_cap on it would
+  // now throw, so a refresh that touched x (which uses only B and C)
+  // could not go unnoticed.
+  net.abort_flow(flow_of_size(net, f.kX));
+  EXPECT_NO_THROW(f.a->set_nic_rate(gbps(1)));
+  EXPECT_NO_THROW(f.d->set_nic_rate(gbps(2)));
+  EXPECT_DOUBLE_EQ(net.current_rate(flow_of_size(net, f.kY)), gbps(0.5));
+  EXPECT_DOUBLE_EQ(net.current_rate(flow_of_size(net, f.kV)), gbps(0.5));
+  EXPECT_THROW(f.b->set_nic_rate(gbps(2)), PreconditionError);  // x is B's
 }
 
 TEST(SessionRunner, SequentialSessionBackToBack) {
