@@ -1,79 +1,52 @@
 // Wall-clock daemon: the admission front-end as a long-running process.
 //
 // Everything below the front-end is a discrete-event simulation; the
-// daemon glues it to real clients. Threading follows the classic
-// receiver/handler split (one message loop owns all state, I/O threads
-// only produce):
+// daemon glues it to real clients. It is one thread: Daemon::run, on the
+// caller's thread, is a non-blocking epoll loop that owns the listen
+// socket, every connection, the simulator and the front-end. Nothing is
+// handed between threads, so a request costs one wake-up, not three.
 //
-//   accept thread     blocking accept() on a unix-domain socket; spawns
-//                     one reader thread per connection.
-//   reader threads    split the connection's byte stream into lines and
-//                     push {connection, line} into a *bounded* ring.
-//                     When the ring is full the push blocks — the TCP
-//                     buffer and then the client stall, which is the
-//                     transport-level backpressure story: an overloaded
-//                     daemon slows readers before it drops work. A
-//                     reader's last item is its connection's EOF; the
-//                     handler joins the reader and closes the fd when it
-//                     handles that item, so a closed connection leaves
-//                     no thread stack or fd behind.
-//   handler loop      (Daemon::run, caller's thread) alternates between
-//                     advancing the simulator to the wall-clock-mapped
-//                     sim time and executing ring items against the
-//                     wire protocol. The only thread that touches the
-//                     simulator, the front-end, or writes to sockets.
+//   accept       the listen fd is non-blocking; each readiness accepts
+//                every pending connection (accept4, SOCK_NONBLOCK).
+//   read         at most one chunk per ready connection per loop turn;
+//                the bytes are split on '\n' and each complete line goes
+//                straight to handle_wire_line.
+//   write        replies are appended to the connection's outbox and
+//                sent right away; what the socket does not take waits
+//                for EPOLLOUT.
+//   backpressure per connection: while a connection's outbox holds more
+//                than kMaxOutbox bytes the daemon stops reading it, so
+//                its socket buffer and then its client stall. A client that
+//                does not read its replies stalls only itself, never the
+//                other tenants or the SIGTERM drain.
 //
-// Time mapping: sim_time = clock.now() * time_scale. With a
-// SteadyWallClock the handler sleeps until the next sim event is due or
-// a request arrives; with a TestWallClock it jumps the clock to the
-// next deadline instead, replaying hours of sim time in milliseconds
-// through the very same loop (the CI smoke runs this way).
+// Time mapping: sim_time = clock.now() * time_scale. Each loop turn first
+// runs the simulator to the mapped time. With a SteadyWallClock the loop
+// sleeps in epoll_wait until the next sim event is due (at most 100 ms);
+// with a TestWallClock it handles ready I/O, then jumps the clock one sim
+// deadline per request answered (at least one per turn), replaying hours
+// of sim time in milliseconds through the very same loop (the CI smoke
+// runs this way). Pacing the jumps by requests keeps sim time moving
+// however fast clients answer.
 //
-// Shutdown: SIGTERM (or request_shutdown()) stops the accept loop,
-// drains the ring, runs the simulator until the front-end is quiescent
-// (no queued tickets, no in-flight work), disarms the idle reaper, and
-// returns. Clean drain is asserted by tests/cli_daemon_smoke.cmake.
+// Shutdown: SIGTERM (or request_shutdown()) stops accepting, answers what
+// has already arrived, runs the simulator until the front-end is quiescent
+// (no queued tickets, no in-flight work), disarms the idle reaper, closes
+// the connections, and returns. Clean drain is asserted by
+// tests/cli_daemon_smoke.cmake.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "frontend/wall_clock.hpp"
 #include "frontend/wire.hpp"
 
 namespace gridvc::frontend {
-
-/// Bounded MPSC queue between reader threads and the handler loop.
-/// push() blocks while full (producer backpressure); pop() waits up to
-/// a timeout so the handler can interleave sim work and notice
-/// shutdown without a wakeup channel.
-class RequestRing {
- public:
-  struct Item {
-    int connection = -1;
-    std::string line;
-    bool eof = false;  ///< connection closed; line is empty
-  };
-
-  explicit RequestRing(std::size_t capacity);
-  void push(Item item);
-  bool pop(Item& out, int timeout_ms);
-  std::size_t depth() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<Item> items_;
-  std::size_t capacity_;
-};
 
 struct DaemonConfig {
   /// Unix-domain socket path. A leading '@' selects the Linux abstract
@@ -82,7 +55,6 @@ struct DaemonConfig {
   /// Sim seconds per wall second (real clocks only; a virtual clock
   /// already moves in sim-deadline jumps).
   double time_scale = 1.0;
-  std::size_t ring_capacity = 256;
   /// Server-side transfer template (endpoints are configuration, not
   /// client input).
   gridftp::TransferSpec transfer_template;
@@ -90,6 +62,9 @@ struct DaemonConfig {
 
 class Daemon {
  public:
+  /// Unsent reply bytes above which a connection is no longer read.
+  static constexpr std::size_t kMaxOutbox = std::size_t{1} << 20;
+
   /// The simulator, front-end, and clock must outlive the daemon.
   Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
          DaemonConfig config);
@@ -112,27 +87,32 @@ class Daemon {
   static void install_sigterm_handler();
 
  private:
-  void accept_loop();
-  void reader_loop(int connection);
-  void handle_item(const RequestRing::Item& item);
-  void drop_connection(int connection);
-  bool drained() const;
+  struct Connection {
+    std::string in;   ///< bytes read but not yet a complete line
+    std::string out;  ///< replies the socket has not taken yet
+    std::vector<std::uint64_t> sessions;  ///< opened here; EOF disconnects them
+    std::uint32_t events = 0;  ///< current epoll interest
+    bool eof = false;          ///< peer sent EOF; close once out is flushed
+  };
+
+  int serve_io(int timeout_ms);
+  void watch(int op, int fd, std::uint32_t events);  ///< epoll_ctl or throw
+  void accept_all();
+  void on_ready(int fd, std::uint32_t events);
+  void handle_line(Connection& c, const std::string& line);
+  static void flush(int fd, Connection& c);
+  void update_interest(int fd, Connection& c);
+  void close_connection(int fd);
 
   sim::Simulator& sim_;
   FrontEnd& front_;
   WallClock& clock_;
   DaemonConfig config_;
   WireContext wire_;
-  RequestRing ring_;
   std::atomic<bool> shutdown_{false};
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex readers_mu_;
-  /// Open connections (fd -> its reader thread), guarded by readers_mu_.
-  std::map<int, std::thread> readers_;
-  /// Sessions opened per connection, so EOF disconnects them (handler
-  /// thread only).
-  std::map<int, std::vector<std::uint64_t>> connection_sessions_;
+  int epoll_fd_ = -1;
+  std::unordered_map<int, Connection> conns_;
   std::uint64_t requests_handled_ = 0;
 };
 

@@ -1,15 +1,21 @@
 #include "frontend/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "frontend/daemon.hpp"
@@ -162,24 +168,6 @@ TEST(Wire, PingReportsSimTime) {
   EXPECT_EQ(num(res, "time"), 12.5);
 }
 
-TEST(RequestRing, BlocksProducerWhenFullAndDrainsFifo) {
-  RequestRing ring(2);
-  ring.push({1, "a", false});
-  ring.push({1, "b", false});
-  std::thread producer([&] { ring.push({1, "c", false}); });
-  // The third push must wait for a pop.
-  RequestRing::Item item;
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "a");
-  producer.join();  // unblocked by the pop
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "b");
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "c");
-  EXPECT_FALSE(ring.pop(item, 0));
-  EXPECT_EQ(ring.depth(), 0u);
-}
-
 /// Connect to an abstract-namespace unix socket ('@name'); -1 on failure.
 int connect_abstract(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -246,6 +234,150 @@ TEST(Daemon, ClosedConnectionsLeaveNoReaderThreadsBehind) {
   server.join();
   EXPECT_LT(after - before, 256L * 1024) << "VmSize grew from " << before << " kB to "
                                          << after << " kB";
+}
+
+/// Connect to the daemon under test, retrying while it is still binding.
+int dial_daemon(const std::string& path) {
+  int fd = -1;
+  for (int i = 0; i < 200 && fd < 0; ++i) {
+    fd = connect_abstract(path);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return fd;
+}
+
+/// Read from fd until `lines` newlines have arrived or nothing arrives
+/// for timeout_ms; returns what was read.
+std::string read_lines(int fd, std::size_t lines, int timeout_ms) {
+  std::string got;
+  std::size_t seen = 0;
+  char chunk[65536];
+  while (seen < lines) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, timeout_ms) <= 0) break;
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    seen += static_cast<std::size_t>(std::count(chunk, chunk + n, '\n'));
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  return got;
+}
+
+TEST(Daemon, UnreadRepliesStallOnlyTheirOwnConnection) {
+  // Client A pipelines 4 MB of replies' worth of requests and reads none
+  // of them. Replies wait in A's outbox, and past Daemon::kMaxOutbox the
+  // daemon stops reading A, so A's own writes stall. Client B and the
+  // shutdown must not wait for A.
+  WireFixture f;
+  TestWallClock clock;
+  DaemonConfig config;
+  config.socket_path = "@gridvc-test-unread-" + std::to_string(::getpid());
+  config.transfer_template = f.ctx->transfer_template;
+  Daemon daemon(f.sim, *f.front, clock, config);
+  std::thread server([&] { daemon.run(); });
+
+  constexpr std::size_t kRequests = 200000;
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  const std::string stats = "{\"op\":\"stats\",\"tenant\":\"acme\"}\n";
+  std::string requests;
+  for (std::size_t i = 0; i < kRequests; ++i) requests += i % 1000 == 999 ? stats : ping;
+
+  const int a = dial_daemon(config.socket_path);
+  EXPECT_GE(a, 0);
+  std::atomic<std::size_t> sent{0};
+  // A's writes block once the daemon stops reading it, so they get a thread.
+  std::thread writer([&] {
+    while (a >= 0 && sent < requests.size()) {
+      const std::size_t chunk = std::min<std::size_t>(4096, requests.size() - sent);
+      const ssize_t n = ::send(a, requests.data() + sent, chunk, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  // Wait until A's writes stop making progress.
+  std::size_t last = 0;
+  for (int i = 0; i < 200 && (i < 2 || sent != last); ++i) {
+    last = sent;
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_LT(sent.load(), requests.size()) << "the daemon kept reading a client that reads no replies";
+
+  const int b = dial_daemon(config.socket_path);
+  EXPECT_GE(b, 0);
+  if (b >= 0) {
+    EXPECT_EQ(::send(b, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    EXPECT_EQ(read_lines(b, 1, 1000).rfind("{\"ok\":true,\"time\":", 0), 0u)
+        << "B was not answered within 1 s while A left its replies unread";
+    ::close(b);
+  }
+
+  const std::string replies = read_lines(a, kRequests, 10000);
+  writer.join();
+  EXPECT_EQ(sent.load(), requests.size());
+  std::size_t count = 0, misplaced = 0, start = 0, pos = 0;
+  while ((pos = replies.find('\n', start)) != std::string::npos) {
+    const std::string_view line(replies.data() + start, pos - start);
+    const bool is_stats = line.find("\"completed\"") != std::string_view::npos;
+    if (is_stats != (count % 1000 == 999)) ++misplaced;
+    ++count;
+    start = pos + 1;
+  }
+  EXPECT_EQ(count, kRequests);
+  EXPECT_EQ(misplaced, 0u) << "replies came back out of order";
+  daemon.request_shutdown();
+  server.join();
+  ::close(a);
+}
+
+/// Open file descriptors of this process.
+std::size_t open_fds() {
+  const auto entries = std::filesystem::directory_iterator("/proc/self/fd");
+  return static_cast<std::size_t>(std::distance(begin(entries), end(entries)));
+}
+
+TEST(Daemon, ClosedConnectionsLeaveNoFdBehind) {
+  WireFixture f;
+  TestWallClock clock;
+  DaemonConfig config;
+  config.socket_path = "@gridvc-test-fds-" + std::to_string(::getpid());
+  config.transfer_template = f.ctx->transfer_template;
+  Daemon daemon(f.sim, *f.front, clock, config);
+  std::thread server([&] { daemon.run(); });
+
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  const auto served = [&](int fd) {
+    return ::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL) ==
+               static_cast<ssize_t>(ping.size()) &&
+           !read_lines(fd, 1, 5000).empty();
+  };
+  // A connection that stays open pins the baseline: once it is served,
+  // the daemon's listen, epoll and connection fds all exist.
+  const int steady = dial_daemon(config.socket_path);
+  if (steady < 0 || !served(steady)) {
+    daemon.request_shutdown();
+    server.join();
+    FAIL() << "the daemon did not serve its first connection";
+  }
+  const std::size_t before = open_fds();
+  int cycles = 0;
+  for (int i = 0; i < 200; ++i) {
+    const int fd = dial_daemon(config.socket_path);
+    if (fd >= 0 && served(fd)) ++cycles;
+    if (fd >= 0) ::close(fd);
+  }
+  // The daemon closes its end when it reads the EOF, one loop turn after
+  // the client's close.
+  std::size_t after = open_fds();
+  for (int i = 0; i < 400 && after > before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    after = open_fds();
+  }
+  ::close(steady);
+  daemon.request_shutdown();
+  server.join();
+  EXPECT_EQ(cycles, 200);
+  EXPECT_EQ(after, before);
 }
 
 TEST(WallClock, TestClockJumpsForwardOnly) {
