@@ -116,6 +116,13 @@ void Daemon::on_ready(int fd, std::uint32_t events) {
         start = pos + 1;
       }
       c.in.erase(0, start);
+      if (c.in.size() > kMaxLine) {
+        // No request is this long: refuse it and hang up rather than
+        // buffer an unterminated line without bound.
+        std::string().swap(c.in);
+        c.out += "{\"ok\":false,\"error\":\"request line too long\"}\n";
+        c.eof = true;
+      }
     } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
       c.eof = true;  // an unterminated last line is dropped
     }

@@ -18,7 +18,9 @@
 //                than kMaxOutbox bytes the daemon stops reading it, so
 //                its socket buffer and then its client stall. A client that
 //                does not read its replies stalls only itself, never the
-//                other tenants or the SIGTERM drain.
+//                other tenants or the SIGTERM drain. A pending line longer
+//                than kMaxLine gets an error reply and the connection is
+//                closed, so input is bounded too.
 //
 // Time mapping: sim_time = clock.now() * time_scale. Each loop turn first
 // runs the simulator to the mapped time. With a SteadyWallClock the loop
@@ -64,6 +66,9 @@ class Daemon {
  public:
   /// Unsent reply bytes above which a connection is no longer read.
   static constexpr std::size_t kMaxOutbox = std::size_t{1} << 20;
+  /// Longest unterminated request line a connection may send; past it the
+  /// daemon answers with an error and closes the connection.
+  static constexpr std::size_t kMaxLine = kMaxOutbox;
 
   /// The simulator, front-end, and clock must outlive the daemon.
   Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,

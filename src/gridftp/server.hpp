@@ -18,15 +18,16 @@
 //     rates; NERSC's disk subsystem is the bottleneck behind Fig 1's
 //     lower mem→disk and disk→disk medians.
 //
-// The model is control-state only; the TransferEngine queries shares and
-// pushes them into the flow-level network as demand caps, re-querying
-// whenever registration changes.
+// The model is control-state only; the TransferEngine pushes shares into
+// the flow-level network as demand caps, and on every registration change
+// re-pushes those whose share moved (for_each_changed_share).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -93,35 +94,63 @@ class Server {
   /// Number of concurrent transfers currently registered.
   std::size_t concurrency() const { return transfers_.size(); }
 
-  /// Call `fn(transfer_id)` for every registration, ascending id. `fn`
-  /// must not register or deregister transfers here.
+  /// Call `fn(transfer_id, share)`, ascending id, for every registration
+  /// whose share differs from the one this walk last reported for it (a
+  /// new one always reports). `fn` must not register or deregister here.
   template <typename Fn>
-  void for_each_transfer(Fn&& fn) const {
-    for (const auto& [id, reg] : transfers_) fn(id);
+  void for_each_changed_share(Fn&& fn) {
+    for (Registered& reg : transfers_) {
+      const BitsPerSecond s = share_of(reg);
+      if (s == reg.last_share) continue;
+      reg.last_share = s;
+      fn(reg.id, s);
+    }
   }
 
-  /// Cluster-wide NIC ceiling: pool_size * nic_rate.
-  BitsPerSecond cluster_nic_rate() const;
-
-  /// One listener (the TransferEngine) is notified whenever shares may
-  /// have changed.
-  void set_change_listener(std::function<void()> listener);
+  /// One listener (the TransferEngine, passed as `owner`) is notified
+  /// whenever shares may have changed.
+  void set_change_listener(std::function<void()> listener, const void* owner = nullptr);
+  const void* listener_owner() const { return listener_owner_; }
 
  private:
   struct Registered {
+    std::uint64_t id = 0;
     int engaged_hosts = 1;  // w = min(stripes, pool_size)
     IoMode io = IoMode::kMemory;
+    BitsPerSecond last_share = -1.0;  ///< last reported by for_each_changed_share
   };
 
+  /// First registration with an id >= `transfer_id`.
+  std::vector<Registered>::const_iterator lower_bound(std::uint64_t transfer_id) const;
+  BitsPerSecond share_of(const Registered& reg) const {
+    // NIC/CPU: cluster capacity shared in proportion to host engagement,
+    // never exceeding the engaged hosts' own NICs.
+    const double total_weight = static_cast<double>(total_engaged_);
+    const double weight = static_cast<double>(reg.engaged_hosts);
+    const double cluster = static_cast<double>(config_.pool_size) * config_.nic_rate;
+    const double proportional = cluster * weight / std::max(total_weight, weight);
+    BitsPerSecond ceiling = std::min(proportional, weight * config_.nic_rate);
+    // Disk: per-host rate times engaged hosts (a striped transfer reads
+    // from several hosts' disks in parallel).
+    if (reg.io == IoMode::kDiskRead && config_.disk_read_rate > 0.0) {
+      ceiling = std::min(ceiling, weight * config_.disk_read_rate);
+    } else if (reg.io == IoMode::kDiskWrite && config_.disk_write_rate > 0.0) {
+      ceiling = std::min(ceiling, weight * config_.disk_write_rate);
+    }
+    return ceiling;
+  }
   void notify();
 
   ServerConfig config_;
   bool online_ = true;
-  std::map<std::uint64_t, Registered> transfers_;
+  /// Ascending id (binary search). A transfer resuming after a crash
+  /// registers behind younger ids, so add_transfer inserts in order.
+  std::vector<Registered> transfers_;
   /// Sum of engaged_hosts over transfers_, kept in step by every
   /// registration change so share() never sums the registrations.
   std::int64_t total_engaged_ = 0;
   std::function<void()> listener_;
+  const void* listener_owner_ = nullptr;
 };
 
 }  // namespace gridvc::gridftp

@@ -36,7 +36,7 @@ void SessionRunner::pump(std::uint64_t session_id) {
     spec.size = s.script.file_sizes[s.next_file];
     ++s.next_file;
     ++s.in_flight;
-    engine_.submit(spec, [this, session_id](const TransferRecord& record) {
+    engine_.submit(std::move(spec), [this, session_id](const TransferRecord& record) {
       auto sit = sessions_.find(session_id);
       if (sit == sessions_.end()) return;
       ActiveSession& session = sit->second;

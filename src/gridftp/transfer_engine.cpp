@@ -50,10 +50,26 @@ TransferEngine::TransferEngine(net::Network& network, UsageStatsCollector& colle
       "Submit -> last byte, retries included");
 }
 
+TransferEngine::Active* TransferEngine::find(std::uint64_t id) {
+  const auto it = std::lower_bound(transfers_.begin(), transfers_.end(), id,
+                                   [](const Active& t, std::uint64_t key) { return t.id < key; });
+  return it != transfers_.end() && it->id == id && it->live ? &*it : nullptr;
+}
+
+std::vector<net::FlowId> TransferEngine::flows_of(std::uint64_t transfer_id) const {
+  const Active* t = const_cast<TransferEngine*>(this)->find(transfer_id);  // reads only
+  return t != nullptr ? t->flows : std::vector<net::FlowId>{};
+}
+
+TransferEngine::Active& TransferEngine::at(std::uint64_t id) {
+  Active* t = find(id);
+  GRIDVC_REQUIRE(t != nullptr, "unknown transfer");
+  return *t;
+}
+
 void TransferEngine::attach_listener(Server* server) {
-  if (listened_.contains(server)) return;
-  listened_.insert(server);
-  server->set_change_listener([this, server] { refresh_caps(*server); });
+  if (server->listener_owner() == this) return;
+  server->set_change_listener([this, server] { refresh_caps(*server); }, this);
 }
 
 void TransferEngine::register_endpoints(Active& t) {
@@ -75,7 +91,7 @@ void TransferEngine::set_waiting_gauge() {
                                             static_cast<double>(waiting_.size()));
 }
 
-std::uint64_t TransferEngine::submit(const TransferSpec& spec, DoneFn on_done) {
+std::uint64_t TransferEngine::submit(TransferSpec spec, DoneFn on_done) {
   GRIDVC_PROF_ZONE("gridftp.engine.submit");
   GRIDVC_REQUIRE(spec.src.server != nullptr && spec.dst.server != nullptr,
                  "transfer endpoints need servers");
@@ -84,10 +100,21 @@ std::uint64_t TransferEngine::submit(const TransferSpec& spec, DoneFn on_done) {
   GRIDVC_REQUIRE(spec.streams >= 1 && spec.stripes >= 1, "streams/stripes must be >= 1");
   GRIDVC_REQUIRE(spec.rtt > 0.0, "RTT must be positive");
 
+  attach_listener(spec.src.server);
+  attach_listener(spec.dst.server);
+  const bool online = spec.src.server->online() && spec.dst.server->online();
+  // Ids only grow, so appending keeps the table ordered. Compaction moves
+  // records, so it runs only here: finish and fail_permanently move theirs
+  // out before on_done can call back into submit.
+  if (transfers_.size() - live_ > live_) {
+    std::erase_if(transfers_, [](const Active& t) { return !t.live; });
+  }
+
   const std::uint64_t id = next_id_++;
-  Active t;
+  Active& t = transfers_.emplace_back();
+  ++live_;
   t.id = id;
-  t.spec = spec;
+  t.spec = std::move(spec);
   t.submit_time = network_.simulator().now();
   t.lifetime = obs::SimSpan::begin(t.submit_time);
   // Lognormal efficiency factor clamped at 1: CPU/disk jitter can only
@@ -97,37 +124,30 @@ std::uint64_t TransferEngine::submit(const TransferSpec& spec, DoneFn on_done) {
   t.noise =
       sigma > 0.0 ? std::min(rng_.lognormal(-sigma * sigma / 2.0, sigma), 1.0) : 1.0;
   t.on_done = std::move(on_done);
-
-  attach_listener(spec.src.server);
-  attach_listener(spec.dst.server);
-  const bool online = spec.src.server->online() && spec.dst.server->online();
   t.registered = online;
-
-  auto [it, inserted] = transfers_.emplace(id, std::move(t));
-  Active& active = it->second;
-  if (online) register_endpoints(active);
+  if (online) register_endpoints(t);
 
   // The loss haircut and Slow Start penalty are computed against the
   // steady rate the transfer would get if alone on its current caps.
-  const BitsPerSecond expected = std::max(1.0, transfer_cap(active));
-  active.loss_factor =
-      tcp_.loss_factor(spec.size, spec.streams, spec.rtt, expected, rng_);
-  const Bytes per_stripe = stripe_chunk(spec.size, spec.stripes);
+  const TransferSpec& sp = t.spec;
+  const BitsPerSecond expected = std::max(1.0, transfer_cap(t));
+  t.loss_factor = tcp_.loss_factor(sp.size, sp.streams, sp.rtt, expected, rng_);
+  const Bytes per_stripe = stripe_chunk(sp.size, sp.stripes);
   const Seconds penalty = tcp_.slow_start_penalty(
-      per_stripe, spec.streams, spec.rtt,
-      std::max(1.0, expected / static_cast<double>(spec.stripes)));
+      per_stripe, sp.streams, sp.rtt,
+      std::max(1.0, expected / static_cast<double>(sp.stripes)));
 
   obs::Observability& obs = network_.simulator().obs();
   obs.registry().add(id_submitted_);
-  obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
-  obs.registry().observe(id_stripes_hist_, static_cast<double>(spec.stripes));
-  obs.registry().observe(id_streams_hist_, static_cast<double>(spec.streams));
-  obs.emit({active.submit_time, obs::TraceEventType::kTransferSubmitted, id,
-            static_cast<std::uint64_t>(spec.stripes), static_cast<double>(spec.size),
-            static_cast<double>(spec.streams)});
+  obs.registry().set(id_active_, static_cast<double>(live_));
+  obs.registry().observe(id_stripes_hist_, static_cast<double>(sp.stripes));
+  obs.registry().observe(id_streams_hist_, static_cast<double>(sp.streams));
+  obs.emit({t.submit_time, obs::TraceEventType::kTransferSubmitted, id,
+            static_cast<std::uint64_t>(sp.stripes), static_cast<double>(sp.size),
+            static_cast<double>(sp.streams)});
 
   if (online) {
-    active.injection =
+    t.injection =
         network_.simulator().schedule_in(penalty, [this, id] { begin_attempt(id); });
   } else {
     // An endpoint is down right now: park until handle_server_up resumes
@@ -154,7 +174,7 @@ BitsPerSecond TransferEngine::transfer_cap(const Active& t) const {
 
 void TransferEngine::begin_attempt(std::uint64_t id) {
   GRIDVC_PROF_ZONE("gridftp.engine.begin_attempt");
-  Active& t = transfers_.at(id);
+  Active& t = at(id);
   if (!endpoints_online(t)) {
     // A server crashed while our backoff/injection timer ran. Park; no
     // attempt is consumed — the client never got a control channel.
@@ -194,11 +214,12 @@ void TransferEngine::begin_attempt(std::uint64_t id) {
   const int stripes = t.spec.stripes;
   const Bytes per_stripe = stripe_chunk(t.attempt_bytes, stripes);
   t.flows.clear();
+  t.flow_cap = cap / static_cast<double>(stripes);
   t.attempt_delivered = 0;
   t.attempt_aborted = false;
   for (int s = 0; s < stripes; ++s) {
     net::FlowOptions opts;
-    opts.cap = cap / static_cast<double>(stripes);
+    opts.cap = t.flow_cap;
     opts.guarantee = t.spec.guarantee / static_cast<double>(stripes);
     opts.fail_on_link_down = true;  // data channels see the outage as an error
     const net::FlowId fid = network_.start_flow(
@@ -209,7 +230,7 @@ void TransferEngine::begin_attempt(std::uint64_t id) {
 }
 
 void TransferEngine::on_flow_complete(std::uint64_t id, const net::FlowRecord& flow) {
-  Active& t = transfers_.at(id);
+  Active& t = at(id);
   const auto it = std::find(t.flows.begin(), t.flows.end(), flow.id);
   GRIDVC_REQUIRE(it != t.flows.end(), "flow completion for unknown stripe");
   t.flows.erase(it);
@@ -221,12 +242,16 @@ void TransferEngine::on_flow_complete(std::uint64_t id, const net::FlowRecord& f
         {network_.simulator().now(), obs::TraceEventType::kTransferStripeCompleted, id,
          static_cast<std::uint64_t>(t.flows.size()), 0.0, 0.0});
   }
-  if (t.flows.empty()) attempt_complete(id);
+  if (t.flows.empty()) {
+    attempt_complete(id);
+  } else {
+    resplit_.push_back(id);
+  }
 }
 
 void TransferEngine::attempt_complete(std::uint64_t id) {
   GRIDVC_PROF_ZONE("gridftp.engine.attempt_complete");
-  Active& t = transfers_.at(id);
+  Active& t = at(id);
   // Restart-marker semantics: bytes any stripe delivered survive the
   // attempt, whether it completed, was cut short by the stochastic
   // failure model, or died with the link. Credit at most the planned
@@ -237,32 +262,33 @@ void TransferEngine::attempt_complete(std::uint64_t id) {
     finish(id);
     return;
   }
-  obs::Observability& obs = network_.simulator().obs();
   if (aborted) {
-    ++t.aborts;
-    ++stats_.aborted_attempts;
-    obs.registry().add(id_aborted_);
-    const bool terminal = config_.max_aborts > 0 && t.aborts >= config_.max_aborts;
-    obs.emit({network_.simulator().now(), obs::TraceEventType::kTransferAborted, id,
-              static_cast<std::uint64_t>(t.attempts), static_cast<double>(t.bytes_done),
-              terminal ? 1.0 : 0.0});
-    if (terminal) {
-      fail_permanently(id);
-      return;
-    }
-    schedule_retry(id);
+    if (!charge_abort(t)) schedule_retry(id);
     return;
   }
   // This attempt failed partway: restart from the marker after a backoff
   // (plus a fresh Slow Start ramp for the new connections).
   GRIDVC_REQUIRE(t.attempt_fails, "attempt fell short without a failure");
   ++stats_.failures;
-  obs.registry().add(id_failures_);
+  network_.simulator().obs().registry().add(id_failures_);
   schedule_retry(id);
 }
 
+bool TransferEngine::charge_abort(Active& t) {
+  ++t.aborts;
+  ++stats_.aborted_attempts;
+  obs::Observability& obs = network_.simulator().obs();
+  obs.registry().add(id_aborted_);
+  const bool terminal = config_.max_aborts > 0 && t.aborts >= config_.max_aborts;
+  obs.emit({network_.simulator().now(), obs::TraceEventType::kTransferAborted, t.id,
+            static_cast<std::uint64_t>(t.attempts), static_cast<double>(t.bytes_done),
+            terminal ? 1.0 : 0.0});
+  if (terminal) fail_permanently(t.id);
+  return terminal;
+}
+
 void TransferEngine::schedule_retry(std::uint64_t id) {
-  Active& t = transfers_.at(id);
+  Active& t = at(id);
   // Every scheduled restart announces itself, whatever ended the previous
   // attempt (stochastic failure, link abort, server crash): the trace
   // checker pairs each non-terminal transfer_aborted with the retry that
@@ -282,17 +308,15 @@ void TransferEngine::schedule_retry(std::uint64_t id) {
                                                  [this, id] { begin_attempt(id); });
 }
 
-void TransferEngine::finish(std::uint64_t id) {
-  GRIDVC_PROF_ZONE("gridftp.engine.finish");
-  auto node = transfers_.extract(id);
-  Active& t = node.mapped();
-  const Seconds now = network_.simulator().now();
-
-  TransferRecord record;
+TransferEngine::Active TransferEngine::take(std::uint64_t id, TransferRecord& record) {
+  Active& slot = at(id);
+  Active t = std::move(slot);
+  slot.live = false;
+  --live_;
   record.type = t.spec.type;
   record.size = t.spec.size;
   record.start_time = t.submit_time;
-  record.duration = now - t.submit_time;
+  record.duration = network_.simulator().now() - t.submit_time;
   record.server_host = t.spec.type == TransferType::kRetrieve ? t.spec.src.server->name()
                                                               : t.spec.dst.server->name();
   record.remote_host = t.spec.remote_host;
@@ -306,12 +330,19 @@ void TransferEngine::finish(std::uint64_t id) {
     t.spec.dst.server->remove_transfer(id);
   }
   if (waiting_.erase(id) > 0) set_waiting_gauge();
+  network_.simulator().obs().registry().set(id_active_, static_cast<double>(live_));
+  return t;
+}
 
+void TransferEngine::finish(std::uint64_t id) {
+  GRIDVC_PROF_ZONE("gridftp.engine.finish");
+  const Seconds now = network_.simulator().now();
+  TransferRecord record;
+  Active t = take(id, record);
   ++stats_.completed;
   obs::Observability& obs = network_.simulator().obs();
   obs.registry().add(id_completed_);
   obs.registry().add(id_bytes_moved_, t.spec.size);
-  obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
   t.lifetime.end_observe(obs.registry(), id_duration_hist_, now);
   obs.emit({now, obs::TraceEventType::kTransferFinished, id,
             static_cast<std::uint64_t>(t.attempts), record.duration,
@@ -321,35 +352,12 @@ void TransferEngine::finish(std::uint64_t id) {
 }
 
 void TransferEngine::fail_permanently(std::uint64_t id) {
-  auto node = transfers_.extract(id);
-  Active& t = node.mapped();
-  const Seconds now = network_.simulator().now();
-  GRIDVC_REQUIRE(t.flows.empty(), "permanent failure with flows still in flight");
-
+  GRIDVC_REQUIRE(at(id).flows.empty(), "permanent failure with flows still in flight");
   TransferRecord record;
-  record.type = t.spec.type;
-  record.size = t.spec.size;
-  record.start_time = t.submit_time;
-  record.duration = now - t.submit_time;
-  record.server_host = t.spec.type == TransferType::kRetrieve ? t.spec.src.server->name()
-                                                              : t.spec.dst.server->name();
-  record.remote_host = t.spec.remote_host;
-  record.streams = t.spec.streams;
-  record.stripes = t.spec.stripes;
-  record.tcp_buffer = tcp_.config().stream_buffer;
-  record.block_size = t.spec.block_size;
   record.failed = true;
-
-  if (t.registered) {
-    t.spec.src.server->remove_transfer(id);
-    t.spec.dst.server->remove_transfer(id);
-  }
-  if (waiting_.erase(id) > 0) set_waiting_gauge();
-
+  Active t = take(id, record);
   ++stats_.failed_transfers;
-  obs::Observability& obs = network_.simulator().obs();
-  obs.registry().add(id_failed_);
-  obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
+  network_.simulator().obs().registry().add(id_failed_);
   collector_.report(record);
   if (t.on_done) t.on_done(record);
 }
@@ -366,10 +374,10 @@ void TransferEngine::handle_server_down(Server* server) {
   // not already parked. transfers_ is id-ordered, so the abort order (and
   // with it every downstream event) is deterministic.
   std::vector<std::uint64_t> affected;
-  for (auto& [id, t] : transfers_) {
-    if ((t.spec.src.server == server || t.spec.dst.server == server) &&
-        !waiting_.contains(id)) {
-      affected.push_back(id);
+  for (const Active& t : transfers_) {
+    if (t.live && (t.spec.src.server == server || t.spec.dst.server == server) &&
+        !waiting_.contains(t.id)) {
+      affected.push_back(t.id);
     }
   }
   obs.emit({now, obs::TraceEventType::kServerDown, server->config().id,
@@ -380,7 +388,7 @@ void TransferEngine::handle_server_down(Server* server) {
   // abort_flow fires no completion callback, so attempt_complete never
   // runs for these.
   for (std::uint64_t id : affected) {
-    Active& t = transfers_.at(id);
+    Active& t = at(id);
     t.injection.cancel();
     if (!t.flows.empty()) {
       for (net::FlowId fid : t.flows) {
@@ -397,7 +405,7 @@ void TransferEngine::handle_server_down(Server* server) {
   // transfer has empty flows, so the notify -> refresh_caps storm skips
   // them and never queries a share the dead server no longer has.
   for (std::uint64_t id : affected) {
-    Active& t = transfers_.at(id);
+    Active& t = at(id);
     if (!t.registered) continue;
     Server* other = t.spec.src.server == server ? t.spec.dst.server : t.spec.src.server;
     if (other != server && other->online()) other->remove_transfer(id);
@@ -407,7 +415,7 @@ void TransferEngine::handle_server_down(Server* server) {
   // Phase 4 — settle outcomes: credit restart markers, charge the killed
   // attempt as an abort (terminal after max_aborts), park the rest.
   for (std::uint64_t id : affected) {
-    Active& t = transfers_.at(id);
+    Active& t = at(id);
     const bool killed_attempt = t.attempt_aborted;
     t.attempt_aborted = false;
     if (killed_attempt) {
@@ -418,19 +426,7 @@ void TransferEngine::handle_server_down(Server* server) {
       finish(id);
       continue;
     }
-    if (killed_attempt) {
-      ++t.aborts;
-      ++stats_.aborted_attempts;
-      obs.registry().add(id_aborted_);
-      const bool terminal = config_.max_aborts > 0 && t.aborts >= config_.max_aborts;
-      obs.emit({now, obs::TraceEventType::kTransferAborted, id,
-                static_cast<std::uint64_t>(t.attempts), static_cast<double>(t.bytes_done),
-                terminal ? 1.0 : 0.0});
-      if (terminal) {
-        fail_permanently(id);
-        continue;
-      }
-    }
+    if (killed_attempt && charge_abort(t)) continue;
     waiting_.insert(id);
   }
   set_waiting_gauge();
@@ -445,11 +441,11 @@ void TransferEngine::handle_server_up(Server* server) {
 
   std::vector<std::uint64_t> resumable;
   for (std::uint64_t id : waiting_) {
-    if (endpoints_online(transfers_.at(id))) resumable.push_back(id);
+    if (endpoints_online(at(id))) resumable.push_back(id);
   }
   for (std::uint64_t id : resumable) {
     waiting_.erase(id);
-    Active& t = transfers_.at(id);
+    Active& t = at(id);
     if (t.attempts == 0) {
       // Submitted while an endpoint was down: this is its first injection,
       // so pay the normal Slow Start ramp rather than a retry backoff.
@@ -467,11 +463,11 @@ void TransferEngine::handle_server_up(Server* server) {
 }
 
 void TransferEngine::set_guarantee(std::uint64_t transfer_id, BitsPerSecond guarantee) {
-  const auto it = transfers_.find(transfer_id);
+  Active* found = find(transfer_id);
   // Circuit callbacks legitimately outlive the transfers they fed (the
   // transfer finished or failed while its circuit was still active).
-  if (it == transfers_.end()) return;
-  Active& t = it->second;
+  if (found == nullptr) return;
+  Active& t = *found;
   t.spec.guarantee = guarantee;
   // During a retry backoff there are no flows; the stored spec value
   // applies when the next attempt starts. Otherwise split across the
@@ -483,19 +479,31 @@ void TransferEngine::set_guarantee(std::uint64_t transfer_id, BitsPerSecond guar
   }
 }
 
-void TransferEngine::refresh_caps(const Server& server) {
-  // A registration change moves the shares of the transfers registered at
-  // this server only; a transfer elsewhere keeps its cap. The network
-  // defers its recompute to the end of the dispatch batch, so pushing the
-  // caps one by one still costs a single allocator pass.
-  server.for_each_transfer([this](std::uint64_t id) {
-    const auto it = transfers_.find(id);
-    if (it == transfers_.end() || it->second.flows.empty()) return;
-    const Active& t = it->second;
-    const BitsPerSecond cap = transfer_cap(t);
-    for (net::FlowId fid : t.flows) {
-      network_.update_cap(fid, cap / static_cast<double>(t.flows.size()));
-    }
+void TransferEngine::push_cap(Active& t, BitsPerSecond cap) {
+  const BitsPerSecond per_flow = cap / static_cast<double>(t.flows.size());
+  if (per_flow == t.flow_cap) return;  // the network would ignore it too
+  t.flow_cap = per_flow;
+  for (net::FlowId fid : t.flows) network_.update_cap(fid, per_flow);
+}
+
+void TransferEngine::refresh_caps(Server& server) {
+  // A registration change moves shares at this server only, so a transfer
+  // elsewhere keeps its cap, and so does one here whose share did not
+  // move: its other share and its flow count are as at its last push. The
+  // network defers its recompute to the end of the dispatch batch, so
+  // pushing the caps one by one still costs a single allocator pass.
+  server.for_each_changed_share([this](std::uint64_t id, BitsPerSecond) {
+    Active* t = find(id);
+    if (t != nullptr && !t->flows.empty()) push_cap(*t, transfer_cap(*t));
+  });
+  // A finished stripe leaves its siblings on the old split until a change
+  // at either endpoint server re-splits the cap across the survivors.
+  std::erase_if(resplit_, [&](std::uint64_t id) {
+    Active* t = find(id);
+    if (t == nullptr || t->flows.empty()) return true;
+    if (t->spec.src.server != &server && t->spec.dst.server != &server) return false;
+    push_cap(*t, transfer_cap(*t));
+    return true;
   });
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -102,7 +101,7 @@ class TransferEngine {
 
   /// Start a transfer now. Requires a valid spec (servers set, non-empty
   /// path, size > 0, streams/stripes >= 1). Returns the transfer id.
-  std::uint64_t submit(const TransferSpec& spec, DoneFn on_done = nullptr);
+  std::uint64_t submit(TransferSpec spec, DoneFn on_done = nullptr);
 
   /// Process-level fault model: crash the server cluster. Marks the
   /// server offline (clearing its registrations), settles and aborts the
@@ -130,7 +129,11 @@ class TransferEngine {
   /// circuit callbacks legitimately outlive the transfers they fed.
   void set_guarantee(std::uint64_t transfer_id, BitsPerSecond guarantee);
 
-  std::size_t active_transfers() const { return transfers_.size(); }
+  std::size_t active_transfers() const { return live_; }
+
+  /// The in-flight stripe flows of a transfer: empty between attempts and
+  /// once it has finished or failed.
+  std::vector<net::FlowId> flows_of(std::uint64_t transfer_id) const;
 
   const net::TcpModel& tcp_model() const { return tcp_; }
 
@@ -156,6 +159,7 @@ class TransferEngine {
  private:
   struct Active {
     std::uint64_t id = 0;
+    bool live = true;  ///< tombstone when false: gone, compacted by a later submit
     TransferSpec spec;
     Seconds submit_time = 0.0;
     obs::SimSpan lifetime;     ///< submit -> finish (gridvc_gridftp_transfer_seconds)
@@ -177,10 +181,14 @@ class TransferEngine {
     /// are removed as they complete so guarantee/cap splits always divide
     /// across live flows only.
     std::vector<net::FlowId> flows;
+    /// Per-flow cap last pushed to `flows`; equal caps are not pushed again.
+    BitsPerSecond flow_cap = 0.0;
     DoneFn on_done;
     sim::EventHandle injection;
   };
 
+  Active* find(std::uint64_t id);  ///< live transfer `id`, or null
+  Active& at(std::uint64_t id);    ///< live transfer `id`; requires it
   void attach_listener(Server* server);
   void register_endpoints(Active& t);
   bool endpoints_online(const Active& t) const;
@@ -189,24 +197,37 @@ class TransferEngine {
   void on_flow_complete(std::uint64_t id, const net::FlowRecord& flow);
   void attempt_complete(std::uint64_t id);
   void schedule_retry(std::uint64_t id);
+  /// Count a killed attempt as an abort; true when that was the last one
+  /// allowed, and the transfer has failed permanently (`t` is gone).
+  bool charge_abort(Active& t);
+  /// Move transfer `id` out (a tombstone stays), deregister and unpark it
+  /// and fill `record`. on_done may submit and so reallocate the table.
+  Active take(std::uint64_t id, TransferRecord& record);
   void finish(std::uint64_t id);
   void fail_permanently(std::uint64_t id);
   /// Aggregate demand cap of a transfer right now.
   BitsPerSecond transfer_cap(const Active& t) const;
+  /// Split `cap` across t's live flows unless they already carry that.
+  void push_cap(Active& t, BitsPerSecond cap);
   /// Push refreshed caps into the network for the in-flight transfers
   /// registered at `server`, the one whose registrations just changed.
-  void refresh_caps(const Server& server);
+  void refresh_caps(Server& server);
 
   net::Network& network_;
   UsageStatsCollector& collector_;
   TransferEngineConfig config_;
   net::TcpModel tcp_;
   Rng rng_;
-  std::map<std::uint64_t, Active> transfers_;
+  /// Transfers in ascending id order (ids only grow, so submit appends);
+  /// finished ones stay as tombstones until they outnumber the live ones.
+  std::vector<Active> transfers_;
+  std::size_t live_ = 0;
   /// Id-ordered (determinism) set of transfers parked on an offline
   /// endpoint server.
   std::set<std::uint64_t> waiting_;
-  std::set<Server*> listened_;
+  /// Transfers that lost a stripe while its siblings ran: the survivors
+  /// are re-split at the next change of either endpoint server.
+  std::vector<std::uint64_t> resplit_;
   std::uint64_t next_id_ = 1;
   Stats stats_;
   obs::MetricId id_submitted_;

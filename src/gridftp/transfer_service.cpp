@@ -239,8 +239,8 @@ void TransferService::pump(std::uint64_t task_id) {
     // submit-returns-id / callback-needs-id cycle.
     const std::uint64_t epoch = epoch_;
     const auto tid_box = std::make_shared<std::uint64_t>(0);
-    const std::uint64_t tid =
-        engine_.submit(spec, [this, task_id, epoch, tid_box](const TransferRecord& record) {
+    const std::uint64_t tid = engine_.submit(
+        std::move(spec), [this, task_id, epoch, tid_box](const TransferRecord& record) {
           if (epoch != epoch_) return;
           on_transfer_done(task_id, *tid_box, record);
         });

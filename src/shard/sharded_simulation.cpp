@@ -23,6 +23,12 @@ namespace {
 
 using SegKey = std::pair<std::uint64_t, std::uint32_t>;  // (transfer, leg)
 
+struct SegKeyHash {  // transfer ids stay below 2^56 (world << 44 | counter)
+  std::size_t operator()(const SegKey& k) const {
+    return std::hash<std::uint64_t>{}(k.first ^ (std::uint64_t{k.second} << 56));
+  }
+};
+
 vc::IdcConfig world_idc_config() {
   vc::IdcConfig config;
   // Chain segments use the paper's 50 ms immediate-signaling scenario:
@@ -82,9 +88,11 @@ struct ShardedSimulation::DomainWorld {
   std::uint64_t send_seq = 0;
   std::uint64_t next_transfer = 1;
 
-  std::map<SegKey, SegmentWork> segments;
-  std::map<SegKey, ChainSegment> chains;
-  std::map<std::uint64_t, OriginFlight> inflight;
+  // Lookup-only tables: nothing may iterate them, since hash order is
+  // not a deterministic order (the drain audit only asks empty()).
+  std::unordered_map<SegKey, SegmentWork, SegKeyHash> segments;
+  std::unordered_map<SegKey, ChainSegment, SegKeyHash> chains;
+  std::unordered_map<std::uint64_t, OriginFlight> inflight;
 
   // Per-world accounting, merged serially after the run.
   std::uint64_t open_sessions = 0;
@@ -300,7 +308,7 @@ struct ShardedSimulation::DomainWorld {
     spec.streams = owner.scenario_.config.streams;
     spec.stripes = 1;
     spec.guarantee = chain_guarantee(tid, leg_index);
-    engine.submit(spec, [this, tid, leg_index](const gridftp::TransferRecord&) {
+    engine.submit(std::move(spec), [this, tid, leg_index](const gridftp::TransferRecord&) {
       segment_done(tid, leg_index);
     });
   }

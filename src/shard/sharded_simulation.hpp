@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>

@@ -330,6 +330,53 @@ TEST(Daemon, UnreadRepliesStallOnlyTheirOwnConnection) {
   ::close(a);
 }
 
+TEST(Daemon, OverlongLineGetsAnErrorAndTheConnectionCloses) {
+  // A client that never sends '\n' must not make the daemon buffer
+  // without bound: past Daemon::kMaxLine it answers with an error and
+  // hangs up, and other clients are still served.
+  WireFixture f;
+  TestWallClock clock;
+  DaemonConfig config;
+  config.socket_path = "@gridvc-test-longline-" + std::to_string(::getpid());
+  config.transfer_template = f.ctx->transfer_template;
+  Daemon daemon(f.sim, *f.front, clock, config);
+  std::thread server([&] { daemon.run(); });
+
+  const int a = dial_daemon(config.socket_path);
+  EXPECT_GE(a, 0);
+  const std::string junk(8 * Daemon::kMaxLine, 'x');
+  std::atomic<std::size_t> sent{0};
+  std::thread writer([&] {
+    while (a >= 0 && sent < junk.size()) {
+      const std::size_t chunk = std::min<std::size_t>(65536, junk.size() - sent);
+      const ssize_t n = ::send(a, junk.data() + sent, chunk, MSG_NOSIGNAL);
+      if (n <= 0) break;  // the daemon hung up
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  const std::string reply = a >= 0 ? read_lines(a, 1, 5000) : std::string();
+  EXPECT_EQ(reply, "{\"ok\":false,\"error\":\"request line too long\"}\n");
+  pollfd hangup{a, POLLIN, 0};
+  char byte = 0;
+  EXPECT_TRUE(a >= 0 && ::poll(&hangup, 1, 5000) == 1 && ::read(a, &byte, 1) <= 0)
+      << "the connection stayed open";
+  writer.join();
+  EXPECT_LT(sent.load(), junk.size()) << "the daemon kept reading an unterminated line";
+
+  const int b = dial_daemon(config.socket_path);
+  EXPECT_GE(b, 0);
+  if (b >= 0) {
+    const std::string ping = "{\"op\":\"ping\"}\n";
+    EXPECT_EQ(::send(b, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    EXPECT_EQ(read_lines(b, 1, 1000).rfind("{\"ok\":true,\"time\":", 0), 0u);
+    ::close(b);
+  }
+  daemon.request_shutdown();
+  server.join();
+  if (a >= 0) ::close(a);
+}
+
 /// Open file descriptors of this process.
 std::size_t open_fds() {
   const auto entries = std::filesystem::directory_iterator("/proc/self/fd");

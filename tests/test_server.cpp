@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace gridvc::gridftp {
@@ -146,6 +150,64 @@ TEST(Server, SharesTrackEveryRegistrationChange) {
   s.add_transfer(4, 1, IoMode::kMemory);  // alone again
   EXPECT_DOUBLE_EQ(s.share(4), gbps(4));
   EXPECT_EQ(s.concurrency(), 1u);
+}
+
+using Reports = std::vector<std::pair<std::uint64_t, BitsPerSecond>>;
+
+Reports changed_shares(Server& s) {
+  Reports got;
+  s.for_each_changed_share(
+      [&](std::uint64_t id, BitsPerSecond share) { got.emplace_back(id, share); });
+  return got;
+}
+
+// The walk reports exactly the registrations whose share moved since it
+// last reported them, each with share()'s value.
+TEST(Server, ChangedShareWalkReportsOnlyMovedShares) {
+  ServerConfig c = basic();
+  c.pool_size = 2;  // cluster NIC 8 Gbps
+  c.disk_read_rate = 0.0;
+  Server s(c);
+  s.add_transfer(1, 1, IoMode::kMemory);  // alone: its own 4 Gbps NIC
+  EXPECT_EQ(changed_shares(s), (Reports{{1, gbps(4)}}));
+  EXPECT_EQ(changed_shares(s), Reports{});  // nothing moved since
+  s.add_transfer(2, 1, IoMode::kMemory);  // 8/2 = 4 Gbps each: 1 keeps its share
+  EXPECT_EQ(changed_shares(s), (Reports{{2, gbps(4)}}));
+  s.add_transfer(3, 1, IoMode::kMemory);  // 8/3 each
+  EXPECT_EQ(changed_shares(s),
+            (Reports{{1, gbps(8) / 3.0}, {2, gbps(8) / 3.0}, {3, gbps(8) / 3.0}}));
+  s.set_pool_size(3);  // 12/3 = 4 Gbps each
+  EXPECT_EQ(changed_shares(s), (Reports{{1, gbps(4)}, {2, gbps(4)}, {3, gbps(4)}}));
+  s.remove_transfer(2);  // 12/2 = 6, but each is held at its own 4 Gbps NIC
+  EXPECT_EQ(changed_shares(s), Reports{});
+  s.set_nic_rate(gbps(2));  // 6/2 = 3 > 2: the NIC binds again
+  EXPECT_EQ(changed_shares(s), (Reports{{1, gbps(2)}, {3, gbps(2)}}));
+  for (const auto& [id, share] : Reports{{1, gbps(2)}, {3, gbps(2)}}) {
+    EXPECT_EQ(s.share(id), share);
+  }
+}
+
+// A transfer parked by a crash registers again behind younger ids; the
+// table must stay in id order, or lookups by binary search miss.
+TEST(Server, OlderIdRegisteringLateKeepsIdOrder) {
+  Server s(basic());
+  s.add_transfer(2, 1, IoMode::kMemory);
+  s.add_transfer(4, 1, IoMode::kMemory);
+  s.add_transfer(6, 1, IoMode::kMemory);
+  s.set_online(false);  // crash: every registration is gone
+  s.set_online(true);
+  s.add_transfer(6, 1, IoMode::kMemory);
+  s.add_transfer(1, 1, IoMode::kMemory);
+  s.add_transfer(4, 1, IoMode::kMemory);
+  s.add_transfer(3, 1, IoMode::kMemory);
+  std::vector<std::uint64_t> order;
+  s.for_each_changed_share([&](std::uint64_t id, BitsPerSecond) { order.push_back(id); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 4, 6}));
+  for (const std::uint64_t id : order) EXPECT_DOUBLE_EQ(s.share(id), gbps(1));
+  s.remove_transfer(3);
+  EXPECT_THROW(s.share(3), gridvc::PreconditionError);
+  EXPECT_THROW(s.add_transfer(4, 1, IoMode::kMemory), gridvc::PreconditionError);
+  EXPECT_EQ(s.concurrency(), 3u);
 }
 
 }  // namespace

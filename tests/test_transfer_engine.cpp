@@ -357,6 +357,167 @@ TEST(TransferEngine, ServerChangePushesNoCapToTransfersElsewhere) {
   EXPECT_THROW(f.b->set_nic_rate(gbps(2)), PreconditionError);  // x is B's
 }
 
+// A stripe that finishes while its siblings run leaves them on the old
+// split; the next change at either endpoint server re-splits the cap
+// across the survivors, even when that change moves no share.
+TEST(TransferEngine, EarlyStripeReSplitsAtTheNextChangeOfEitherServer) {
+  for (const bool at_src : {true, false}) {
+    Fixture f;  // 4 Gbps NICs, pool of 1: the transfer's cap is 4 Gbps
+    net::Network& net = *f.network;
+    f.engine->submit(f.spec(4 * GiB, 8, /*stripes=*/4));
+    f.sim.run_until(0.5);
+    const std::vector<net::FlowId> stripes = net.active_flows();
+    ASSERT_EQ(stripes.size(), 4u);
+    for (const net::FlowId fid : stripes) EXPECT_DOUBLE_EQ(net.current_rate(fid), gbps(1));
+    // Hurry the first stripe behind the engine's back so that it finishes
+    // ~6 s ahead of its siblings.
+    net.update_cap(stripes[0], gbps(4));
+    f.sim.run_until(4.0);
+    ASSERT_EQ(net.active_flows().size(), 3u);
+    for (const net::FlowId fid : net.active_flows()) {
+      EXPECT_DOUBLE_EQ(net.current_rate(fid), gbps(1)) << "re-split before any server change";
+    }
+    // A second host leaves the share alone: the transfer engaged one host
+    // at registration and stays at its 4 Gbps NIC.
+    (at_src ? f.src_server : f.dst_server)->set_pool_size(2);
+    for (const net::FlowId fid : net.active_flows()) {
+      EXPECT_DOUBLE_EQ(net.current_rate(fid), gbps(4) / 3.0) << (at_src ? "src" : "dst");
+    }
+  }
+}
+
+// Three DTNs on one ample link: a flow's rate is exactly its cap, and
+// ids of crashed-and-resumed transfers re-register behind younger ones.
+struct MixedChangeFixture {
+  sim::Simulator sim;
+  net::Topology topo;
+  net::LinkId link;
+  std::unique_ptr<net::Network> network;
+  std::vector<std::unique_ptr<Server>> servers;
+  UsageStatsCollector collector;
+  std::unique_ptr<TransferEngine> engine;
+  struct Submitted {
+    std::uint64_t id;
+    Server* src;
+    Server* dst;
+  };
+  std::vector<Submitted> submitted;
+
+  MixedChangeFixture() {
+    const auto a = topo.add_node("a", net::NodeKind::kHost);
+    const auto b = topo.add_node("b", net::NodeKind::kHost);
+    link = topo.add_link(a, b, gbps(100000), 0.005);
+    network = std::make_unique<net::Network>(sim, topo);
+    for (int i = 0; i < 3; ++i) {
+      ServerConfig sc;
+      sc.name = "dtn" + std::to_string(i);
+      sc.id = static_cast<std::uint64_t>(i + 1);
+      sc.nic_rate = gbps(2 + 2 * i);
+      sc.pool_size = 1 + i;
+      servers.push_back(std::make_unique<Server>(sc));
+    }
+    TransferEngineConfig cfg;
+    cfg.server_noise_sigma = 0.0;
+    cfg.tcp.loss_probability = 0.0;
+    cfg.tcp.stream_buffer = 1024 * MiB;  // the window never binds
+    engine = std::make_unique<TransferEngine>(*network, collector, cfg, Rng(9));
+  }
+
+  std::uint64_t submit(int src, int dst, Bytes size, int stripes) {
+    TransferSpec s;
+    s.src = {servers[src].get(), IoMode::kMemory};
+    s.dst = {servers[dst].get(), IoMode::kMemory};
+    s.path = {link};
+    s.rtt = 0.01;
+    s.size = size;
+    s.streams = 4;
+    s.stripes = stripes;
+    const std::uint64_t id = engine->submit(s);
+    submitted.push_back({id, s.src.server, s.dst.server});
+    return id;
+  }
+
+  /// Every live flow carries the cap rebuilt from its servers' shares.
+  /// Returns the number of flows checked.
+  std::size_t expect_caps_from_shares(const std::string& when) {
+    std::size_t checked = 0;
+    for (const Submitted& t : submitted) {
+      const std::vector<net::FlowId> flows = engine->flows_of(t.id);
+      if (flows.empty()) continue;
+      const BitsPerSecond cap = std::min(t.src->share(t.id), t.dst->share(t.id));
+      // The allocator may land a ulp off a cap; a stale cap is far off.
+      for (const net::FlowId fid : flows) {
+        EXPECT_DOUBLE_EQ(network->current_rate(fid), cap / static_cast<double>(flows.size()))
+            << when << ": transfer " << t.id;
+        ++checked;
+      }
+    }
+    return checked;
+  }
+};
+
+TEST(TransferEngine, EveryCapMatchesTheSharesAfterAnyMixOfChanges) {
+  MixedChangeFixture f;
+  Rng rng(2024);
+  int down = -1;  // the crashed server, if any
+  std::size_t checked = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int op = static_cast<int>(rng.uniform(0.0, 6.0));
+    const int s = static_cast<int>(rng.uniform(0.0, 3.0));
+    if (op <= 1) {  // register (and, as transfers finish, deregister)
+      const int d = (s + 1 + static_cast<int>(rng.uniform(0.0, 2.0))) % 3;
+      f.submit(s, d, static_cast<Bytes>(rng.uniform(0.2, 3.0) * GiB),
+               1 + static_cast<int>(rng.uniform(0.0, 4.0)));
+    } else if (op == 2) {
+      f.servers[s]->set_pool_size(1 + static_cast<int>(rng.uniform(0.0, 4.0)));
+    } else if (op == 3) {
+      f.servers[s]->set_nic_rate(gbps(1 + static_cast<int>(rng.uniform(0.0, 8.0))));
+    } else if (op == 4 && step % 7 == 0) {  // crash, or restart the crashed one
+      if (down < 0) {
+        f.engine->handle_server_down(f.servers[s].get());
+        down = s;
+      } else {
+        f.engine->handle_server_up(f.servers[down].get());
+        down = -1;
+      }
+    } else {
+      f.sim.run_until(f.sim.now() + rng.uniform(0.0, 2.0));
+    }
+    checked += f.expect_caps_from_shares("step " + std::to_string(step));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(f.engine->stats().server_crashes, 2u);
+  EXPECT_GT(f.engine->stats().aborted_attempts, 0u);
+  if (down >= 0) f.engine->handle_server_up(f.servers[down].get());
+  f.sim.run();
+  EXPECT_EQ(f.engine->active_transfers(), 0u);
+  EXPECT_EQ(f.engine->stats().completed + f.engine->stats().failed_transfers,
+            f.submitted.size());
+}
+
+TEST(TransferEngine, ResumedOlderTransferReRegistersInIdOrder) {
+  MixedChangeFixture f;
+  Server& a = *f.servers[0];
+  Server& b = *f.servers[1];
+  const std::uint64_t old_id = f.submit(0, 1, 8 * GiB, 1);  // A -> B
+  f.sim.run_until(1.0);
+  ASSERT_EQ(f.engine->flows_of(old_id).size(), 1u);
+  f.engine->handle_server_down(&a);  // parks old_id, deregistered at B too
+  EXPECT_THROW(b.share(old_id), PreconditionError);
+  const std::uint64_t young = f.submit(2, 1, 64 * GiB, 2);  // C -> B, registers now
+  f.sim.run_until(2.0);
+  f.engine->handle_server_up(&a);
+  f.sim.run_until(20.0);  // past the retry backoff: old_id registers again
+  ASSERT_EQ(f.engine->flows_of(old_id).size(), 1u);
+  ASSERT_FALSE(f.engine->flows_of(young).empty());
+  EXPECT_NO_THROW(b.share(old_id));
+  EXPECT_NO_THROW(b.share(young));
+  f.expect_caps_from_shares("after the resume");
+  b.set_nic_rate(gbps(1));  // the walk must reach both, in either id order
+  f.expect_caps_from_shares("after a change at B");
+}
+
 TEST(SessionRunner, SequentialSessionBackToBack) {
   Fixture f;
   SessionRunner runner(f.sim, *f.engine);

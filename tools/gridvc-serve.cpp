@@ -22,15 +22,15 @@
 // Responses are echoed to stdout. Exits nonzero on socket errors or a
 // failed !expect.
 //
-// --self-test runs server and client in one process (daemon on a
-// background thread, scripted client on main), raises SIGTERM, and
-// verifies the daemon drains clean — the in-binary version of the CI
-// daemon smoke (tests/cli_daemon_smoke.cmake runs the two-process one).
+// --self-test runs server and client in one process (daemon on main, the
+// thread that owns the stack; scripted client on a second thread), asks
+// for shutdown, and verifies the daemon drains clean — the in-binary
+// version of the CI daemon smoke (tests/cli_daemon_smoke.cmake runs the
+// two-process one, with a real SIGTERM).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,7 +72,7 @@ int usage(const char* argv0) {
                "  --quota-bytes  per-tenant queued-bytes quota (0 = off)\n"
                "  --metrics-out  write a Prometheus metrics dump on exit\n"
                "  --client       connect and replay --script (JSONL + !directives)\n"
-               "  --self-test    in-process server+client round trip, then SIGTERM\n",
+               "  --self-test    in-process server+client round trip, then drain\n",
                argv0, argv0, argv0);
   return 2;
 }
@@ -249,40 +249,41 @@ int self_test() {
   frontend::Daemon daemon(stack->sim, *stack->front, clock, dcfg);
   frontend::Daemon::install_sigterm_handler();
 
-  std::uint64_t handled = 0;
-  std::thread server([&] { handled = daemon.run(); });
-
-  int fd = -1;
-  for (int i = 0; i < 200 && fd < 0; ++i) {
-    fd = client_connect(dcfg.socket_path);
-    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (fd < 0) {
-    std::fprintf(stderr, "self-test: could not connect\n");
-    daemon.request_shutdown();
-    server.join();
-    return 1;
-  }
-  const char* script =
-      "{\"op\":\"ping\"}\n"
-      "{\"op\":\"connect\",\"tenant\":\"t1\"}\n"
-      "!expect \"session\":1\n"
-      "{\"op\":\"submit\",\"session\":1,\"label\":\"st\",\"files\":[1048576],"
-      "\"key\":\"k1\"}\n"
-      "!expect \"ticket\":1\n"
-      "{\"op\":\"submit\",\"session\":1,\"label\":\"st\",\"files\":[1048576],"
-      "\"key\":\"k1\"}\n"
-      "!expect \"duplicate\":true\n"
-      "!waitdone 1 1\n"
-      "!expect \"task_state\":\"succeeded\"\n"
-      "{\"op\":\"stats\",\"tenant\":\"t1\"}\n"
-      "!expect \"completed\":1\n"
-      "{\"op\":\"disconnect\",\"session\":1}\n";
-  std::istringstream in(script);
-  const int rc = run_client_script(fd, in, stdout);
-  ::close(fd);
-  std::raise(SIGTERM);
-  server.join();
+  // The daemon runs here, on the thread that built the stack and so owns
+  // its metrics registry; the scripted client gets the second thread.
+  int rc = 1;
+  std::thread client([&] {
+    int fd = -1;
+    for (int i = 0; i < 200 && fd < 0; ++i) {
+      fd = client_connect(dcfg.socket_path);
+      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (fd < 0) {
+      std::fprintf(stderr, "self-test: could not connect\n");
+    } else {
+      const char* script =
+          "{\"op\":\"ping\"}\n"
+          "{\"op\":\"connect\",\"tenant\":\"t1\"}\n"
+          "!expect \"session\":1\n"
+          "{\"op\":\"submit\",\"session\":1,\"label\":\"st\",\"files\":[1048576],"
+          "\"key\":\"k1\"}\n"
+          "!expect \"ticket\":1\n"
+          "{\"op\":\"submit\",\"session\":1,\"label\":\"st\",\"files\":[1048576],"
+          "\"key\":\"k1\"}\n"
+          "!expect \"duplicate\":true\n"
+          "!waitdone 1 1\n"
+          "!expect \"task_state\":\"succeeded\"\n"
+          "{\"op\":\"stats\",\"tenant\":\"t1\"}\n"
+          "!expect \"completed\":1\n"
+          "{\"op\":\"disconnect\",\"session\":1}\n";
+      std::istringstream in(script);
+      rc = run_client_script(fd, in, stdout);
+      ::close(fd);
+    }
+    daemon.request_shutdown();  // thread-safe, unlike a signal flag
+  });
+  const std::uint64_t handled = daemon.run();
+  client.join();
   if (rc != 0) return rc;
   if (!stack->front->quiescent()) {
     std::fprintf(stderr, "self-test: front-end did not drain\n");
